@@ -64,13 +64,20 @@ def test_ablation_preprocessing_reuse(lab, benchmark):
     assert t_shared < t_recompute
 
 
-def _forced_chunking_pool(threads: int, chunking: str) -> SimulatedPool:
-    """A pool whose parallel_for ignores the caller's chunking choice."""
+def _forced_chunking_pool(
+    threads: int, chunking: str, loop: str
+) -> SimulatedPool:
+    """A pool whose ``loop`` regions (label prefix) ignore the caller's
+    chunking choice; every other loop keeps its shipped schedule (the
+    cost-partitioned loops hand out one range per thread, which a forced
+    grain-16 deal would put on one thread)."""
     pool = SimulatedPool(threads=threads)
     original = pool.parallel_for
 
-    def forced(items, fn, label="parallel_for", chunking_=None, grain=16, **kw):
-        return original(items, fn, label=label, chunking=chunking, grain=grain)
+    def forced(items, fn, label="parallel_for", **kw):
+        if not label.startswith(loop):
+            return original(items, fn, label=label, **kw)
+        return original(items, fn, label=label, chunking=chunking, grain=16)
 
     pool.parallel_for = forced  # type: ignore[method-assign]
     return pool
@@ -88,10 +95,10 @@ def test_ablation_loop_scheduling(lab, benchmark):
     def run_all():
         clocks = {}
         for chunking in ("static", "dynamic"):
-            pool = _forced_chunking_pool(P, chunking)
+            pool = _forced_chunking_pool(P, chunking, "phcd:")
             phcd_build_hcd(b.graph, b.coreness, pool)
             clocks[("phcd", chunking)] = pool.clock
-            pool = _forced_chunking_pool(P, chunking)
+            pool = _forced_chunking_pool(P, chunking, "pbks:typeB_triangles")
             pbks_search(
                 b.graph, b.coreness, b.hcd, "clustering_coefficient", pool,
                 counts=b.counts, rank_result=b.rank_result,

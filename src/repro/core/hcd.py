@@ -55,6 +55,7 @@ class HCD:
         "tid",
         "_node_vertices",
         "_depths",
+        "_member_csr",
     )
 
     def __init__(
@@ -78,6 +79,7 @@ class HCD:
                 children[pa].append(node)
         self.children = children
         self._depths: np.ndarray | None = None
+        self._member_csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -101,6 +103,26 @@ class HCD:
     def vertices_of(self, node: int) -> np.ndarray:
         """``V(T_node)``: vertices stored directly in the tree node."""
         return self._node_vertices[node]
+
+    def member_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(member_offsets, members)``: every node's vertices in CSR form.
+
+        Node ``i``'s vertices are ``members[member_offsets[i] :
+        member_offsets[i + 1]]``, in the node's stored order.  Built on
+        first use and cached (the index is immutable); treat both arrays
+        as read-only.
+        """
+        if self._member_csr is None:
+            sizes = [vs.size for vs in self._node_vertices]
+            offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            members = (
+                np.concatenate(self._node_vertices)
+                if self.num_nodes
+                else np.empty(0, dtype=np.int64)
+            )
+            self._member_csr = (offsets, members)
+        return self._member_csr
 
     def roots(self) -> list[int]:
         """Tree nodes with no parent (one per connected component chain)."""
@@ -330,14 +352,7 @@ class HCD:
         graph CSR and precomputed search state) in its versioned
         bundles; :meth:`save` writes exactly this dictionary.
         """
-        offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        for node, verts in enumerate(self._node_vertices):
-            offsets[node + 1] = offsets[node] + verts.size
-        flat = (
-            np.concatenate(self._node_vertices)
-            if self.num_nodes
-            else np.empty(0, dtype=np.int64)
-        )
+        offsets, flat = self.member_csr()
         return {
             "node_coreness": self.node_coreness,
             "parent": self.parent,
@@ -388,12 +403,15 @@ class HCD:
         node_vertices = [
             members[offsets[i] : offsets[i + 1]] for i in range(t)
         ]
-        return cls(
+        hcd = cls(
             node_coreness=node_coreness,
             parent=parent,
             tid=tid,
             node_vertices=node_vertices,
         )
+        if t:
+            hcd._member_csr = (offsets, members)
+        return hcd
 
     def save(self, path) -> None:
         """Persist the index with :func:`numpy.savez_compressed`.

@@ -57,8 +57,9 @@ def compute_vertex_rank(
     The per-thread bin layout ``HL[p][k]`` of the paper is reproduced:
     static chunking assigns each virtual thread a contiguous ascending-id
     slice (line 2), each thread bins its vertices by coreness (lines
-    3-6), shells are the cross-thread concatenations (lines 7-8), and
-    ranks are positions in the shell concatenation (lines 9-11).
+    3-6), a prefix sum over the bin sizes places every bin in ``Vsort``
+    and the threads copy the bins there (lines 7-9; each shell is a view
+    of ``Vsort``), and ranks are positions in ``Vsort`` (lines 10-11).
     """
     n = graph.num_vertices
     coreness = np.asarray(coreness, dtype=np.int64)
@@ -80,26 +81,57 @@ def compute_vertex_rank(
     with pool.phase("vertex-rank"):
         pool.parallel_for(range(n), bin_vertex, label="vertex_rank:bin")
 
-    # Lines 7-8: H_k is the concatenation HL[1][k] + ... + HL[p][k].
-    def concat_shell(k: int, ctx) -> np.ndarray:
-        parts = [bins[t][k] for t in range(p)]
-        total = sum(len(part) for part in parts)
-        ctx.charge(total + 1)
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([np.asarray(part, dtype=np.int64) for part in parts if part])
+    # Lines 7-9: H_k = HL[1][k] + ... + HL[p][k] and Vsort = H_0 + ... +
+    # H_kmax, so bin (k, t) starts in Vsort at the exclusive prefix sum
+    # of the bin sizes in k-major, t-minor order.  One item per shell
+    # scans its p bin sizes (row k of bin_off, |H_k| in column p); a
+    # scan over the shell sizes then places every shell.
+    bin_off = np.zeros((kmax + 1, p + 1), dtype=np.int64)
+
+    def scan_shell(k: int, ctx) -> None:
+        ctx.charge(p)
+        ctx.write(("bin_off", int(k)))
+        bin_off[k] = np.cumsum([0] + [len(bins[t][k]) for t in range(p)])
 
     with pool.phase("vertex-rank"):
-        shells = pool.parallel_for(
-            range(kmax + 1), concat_shell, label="vertex_rank:shells"
+        pool.parallel_for(
+            range(kmax + 1), scan_shell, label="vertex_rank:offsets"
         )
+        with pool.serial_region("vertex_rank:shell_offsets") as ctx:
+            ctx.charge(kmax + 1)
+    shell_start = np.zeros(kmax + 2, dtype=np.int64)
+    np.cumsum(bin_off[:, p], out=shell_start[1:])
+    # the non-empty bins in (k, t) order, and where each starts in Vsort
+    starts = (shell_start[:-1, None] + bin_off[:, :p]).ravel()
+    full = np.flatnonzero(np.diff(bin_off, axis=1).ravel())
+    bin_start = np.append(starts[full], n)
+    flat_bins = [bins[i % p][i // p] for i in full.tolist()]
 
-    # Line 9: Vsort = H_0 + H_1 + ... + H_kmax.
-    vsort = (
-        np.concatenate([s for s in shells if s.size])
-        if any(s.size for s in shells)
-        else np.empty(0, dtype=np.int64)
-    )
+    # Each thread fills its own contiguous slice of Vsort from the bins
+    # that cover it, after a binary search for the bin holding its
+    # first position; it steps over no empty bin, so it pays at most
+    # one bin boundary per position.
+    vsort = san_empty(n, np.int64, name="vsort")
+
+    def fill(chunk: range, ctx) -> None:
+        start, end = chunk.start, chunk.stop
+        if start == end:
+            return
+        b = int(np.searchsorted(bin_start, start, side="right")) - 1
+        lo, hi, src = int(bin_start[b]), int(bin_start[b + 1]), flat_bins[b]
+        for i in range(start, end):
+            while i >= hi:
+                ctx.charge(1)
+                b += 1
+                lo, hi, src = hi, int(bin_start[b + 1]), flat_bins[b]
+            ctx.write(("vsort", int(i)))
+            vsort[i] = src[i - lo]
+
+    with pool.phase("vertex-rank"):
+        pool.parallel_for(pool.partition(n), fill, label="vertex_rank:shells")
+    shells = [
+        vsort[shell_start[k] : shell_start[k + 1]] for k in range(kmax + 1)
+    ]
 
     # Lines 10-11: r(v) = position of v in Vsort.
     rank = san_empty(n, np.int64, name="rank")

@@ -23,6 +23,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence, TypeVar
 
+import numpy as np
+
 from repro.errors import SchedulerError
 from repro.parallel.context import ThreadContext
 from repro.parallel.cost_model import DEFAULT_COST_MODEL, CostModel
@@ -220,14 +222,47 @@ class SimulatedPool:
     # partitioning
     # ------------------------------------------------------------------
 
-    def partition(self, count: int) -> list[range]:
-        """Static contiguous split of ``range(count)`` over the threads.
+    def partition(
+        self, count: int, prefix: Sequence[float] | None = None
+    ) -> list[range]:
+        """Contiguous split of ``range(count)`` into one range per thread.
 
-        Mirrors Algorithm 1's "distribute vertices to V_1..V_pmax in
-        ascending vertex id".  Threads receive near-equal slices; the
-        first ``count % threads`` slices are one longer.
+        Without ``prefix`` the split is by item count, mirroring
+        Algorithm 1's "distribute vertices to V_1..V_pmax in ascending
+        vertex id": the first ``count % threads`` slices are one longer.
+
+        ``prefix`` balances by *cost* instead: a non-decreasing array of
+        ``count + 1`` cumulative costs, ``prefix[i]`` being the cost of
+        items ``[0, i)`` — e.g. a CSR ``indptr`` plus one unit per row.
+        Thread ``t`` starts at the first item whose cumulative cost
+        reaches ``t / threads`` of the total, so every range costs at
+        most an equal share plus one item.  Like the count split and the
+        cyclic deal, the split itself is not charged: a thread's binary
+        search for its boundary (about ``log2(count)`` steps) is left in
+        the per-region ``spawn_cost``.  All-zero costs fall back to the
+        count split.
+
+        Ranges are returned in thread order; they are disjoint,
+        contiguous, monotone, and cover ``range(count)`` exactly.
+        Workers take one range per item in the chunk idiom
+        ``start, end = chunk.start, chunk.stop``.
         """
         p = self.threads
+        if prefix is not None:
+            cost = np.asarray(prefix, dtype=np.float64)
+            if cost.shape != (count + 1,):
+                raise SchedulerError(
+                    f"prefix must have count + 1 = {count + 1} entries, "
+                    f"got shape {cost.shape}"
+                )
+            if np.any(np.diff(cost) < 0):
+                raise SchedulerError("prefix must be non-decreasing")
+            total = cost[-1] - cost[0]
+            if total > 0:
+                targets = cost[0] + total * np.arange(1, p) / p
+                cuts = np.searchsorted(cost, targets, side="left")
+                bounds = [0, *(int(c) for c in cuts), count]
+                return [range(bounds[t], bounds[t + 1]) for t in range(p)]
         base, extra = divmod(count, p)
         ranges: list[range] = []
         start = 0
@@ -252,9 +287,14 @@ class SimulatedPool:
         """Run ``fn(item, ctx)`` for every item; return results in order.
 
         ``chunking='static'`` gives each virtual thread one contiguous
-        slice (OpenMP ``schedule(static)``); ``'dynamic'`` deals
-        ``grain``-sized chunks round-robin (``schedule(dynamic, grain)``)
-        which improves simulated load balance on skewed work.
+        slice of near-equal item count (OpenMP ``schedule(static)``).
+        ``'dynamic'`` deals ``grain``-sized chunks round-robin: thread
+        ``t`` always gets chunks ``t, t + p, t + 2p, ...``.  That is a
+        fixed cyclic deal — OpenMP ``schedule(static, grain)`` — decided
+        before any item runs; it does not rebalance at runtime, so items
+        whose cost follows their index (R-MAT degrees follow id bits)
+        can still pile onto one thread.  For skewed per-item costs, run
+        one item per thread over :meth:`partition` with a cost prefix.
         """
         if self._in_region:
             raise SchedulerError("nested parallel regions are not supported")

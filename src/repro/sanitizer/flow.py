@@ -90,6 +90,7 @@ from repro.sanitizer.lint import (
     _base_name,
     _find_workers,
     _free_names,
+    _is_chunk_unpack,
     _suppressed_lines,
     _WorkerInfo,
 )
@@ -918,8 +919,7 @@ class FlowAnalyzer:
                         isinstance(e, ast.Name)
                         for e in inner.targets[0].elts
                     )
-                    and isinstance(inner.value, ast.Name)
-                    and inner.value.id == worker.item
+                    and _is_chunk_unpack(inner.value, worker.item)
                 ):
                     lo, hi = (e.id for e in inner.targets[0].elts)
                     if counts.get(lo, 0) == 1 and counts.get(hi, 0) == 1:

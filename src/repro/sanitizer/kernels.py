@@ -312,8 +312,10 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     },
     "phcd": {
         "reads": (
+            "bin_start",
             "bins",
             "coreness",
+            "flat_bins",
             "indices",
             "indptr",
             "next_parts",
@@ -321,6 +323,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "vsort",
         ),
         "writes": (
+            "bin_off",
             "bins",
             "coreness",
             "hcd_parent",
@@ -328,6 +331,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "pkc_core",
             "rank",
             "tid",
+            "vsort",
         ),
         "atomics": (
             "HL",
@@ -341,8 +345,10 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     },
     "phcd_pivot": {
         "reads": (
+            "bin_start",
             "bins",
             "coreness",
+            "flat_bins",
             "indices",
             "indptr",
             "next_parts",
@@ -350,6 +356,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "vsort",
         ),
         "writes": (
+            "bin_off",
             "bins",
             "coreness",
             "hcd_parent",
@@ -357,6 +364,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "pkc_core",
             "rank",
             "tid",
+            "vsort",
         ),
         "atomics": (
             "HL",
@@ -371,20 +379,33 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     "pbks": {
         "reads": (
             "accumulated",
+            "bin_start",
             "bins",
             "coreness",
             "counts",
+            "eq",
+            "flat_bins",
+            "gt",
             "indices",
             "indptr",
+            "lt",
+            "members",
             "next_parts",
+            "node_seg",
+            "offsets",
             "parents",
+            "pbks_seg",
             "ranks",
+            "seg_b",
+            "seg_m",
+            "seg_start",
             "settled",
             "tid",
             "vals",
             "vsort",
         ),
         "writes": (
+            "bin_off",
             "bins",
             "coreness",
             "eq",
@@ -392,11 +413,17 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "hcd_parent",
             "next_parts",
             "pbks_scores",
+            "pbks_seg",
+            "pbks_vals",
             "pkc_core",
             "pre_counts",
             "rank",
             "scores",
+            "seg_b",
+            "seg_m",
             "tid",
+            "vals",
+            "vsort",
         ),
         "atomics": (
             "HL",
@@ -432,15 +459,25 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     },
     "vertex_rank": {
         "reads": (
+            "bin_start",
             "bins",
             "coreness",
+            "flat_bins",
             "indices",
             "indptr",
             "next_parts",
             "settled",
             "vsort",
         ),
-        "writes": ("bins", "coreness", "next_parts", "pkc_core", "rank"),
+        "writes": (
+            "bin_off",
+            "bins",
+            "coreness",
+            "next_parts",
+            "pkc_core",
+            "rank",
+            "vsort",
+        ),
         "atomics": ("HL", "degree"),
     },
     "dynamic_batch": {
@@ -468,8 +505,17 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
         "atomics": ("visited",),
     },
     "dynamic_publish": {
-        "reads": ("bins", "coreness", "indices", "indptr", "vsort"),
+        "reads": (
+            "bin_start",
+            "bins",
+            "coreness",
+            "flat_bins",
+            "indices",
+            "indptr",
+            "vsort",
+        ),
         "writes": (
+            "bin_off",
             "bins",
             "counts_eq",
             "counts_gt",
@@ -479,6 +525,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "pre_counts",
             "rank",
             "tid",
+            "vsort",
         ),
         "atomics": (
             "HL",
@@ -504,8 +551,10 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
         # snapshot build + executor kernels; the router itself only
         # runs serial regions
         "reads": (
+            "bin_start",
             "bins",
             "coreness",
+            "flat_bins",
             "indices",
             "indptr",
             "next_parts",
@@ -513,6 +562,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "vsort",
         ),
         "writes": (
+            "bin_off",
             "bins",
             "coreness",
             "eq",
@@ -523,6 +573,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "pre_counts",
             "rank",
             "tid",
+            "vsort",
         ),
         "atomics": (
             "HL",
@@ -536,8 +587,10 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     },
     "serve_batch": {
         "reads": (
+            "bin_start",
             "bins",
             "coreness",
+            "flat_bins",
             "indices",
             "indptr",
             "next_parts",
@@ -545,6 +598,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "vsort",
         ),
         "writes": (
+            "bin_off",
             "bins",
             "coreness",
             "eq",
@@ -555,6 +609,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "pre_counts",
             "rank",
             "tid",
+            "vsort",
         ),
         "atomics": (
             "HL",

@@ -452,6 +452,39 @@ def _free_names(node: ast.expr) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _is_chunk_unpack(value: ast.expr, item: str | None) -> bool:
+    """Is ``value`` the right-hand side of the chunk idiom for ``item``?
+
+    ``start, end = chunk`` unpacks a ``(start, end)`` tuple item;
+    ``start, end = chunk.start, chunk.stop`` unpacks a ``range`` item,
+    the form :meth:`SimulatedPool.partition` hands out.
+    """
+    if item is None:
+        return False
+    if isinstance(value, ast.Name):
+        return value.id == item
+    return (
+        isinstance(value, ast.Tuple)
+        and len(value.elts) == 2
+        and all(
+            isinstance(e, ast.Attribute)
+            and isinstance(e.value, ast.Name)
+            and e.value.id == item
+            for e in value.elts
+        )
+        and [e.attr for e in value.elts] == ["start", "stop"]
+    )
+
+
+def _is_partition_call(items: ast.expr | None) -> bool:
+    """Are the worker's items ``<pool>.partition(...)`` ranges?"""
+    return (
+        isinstance(items, ast.Call)
+        and isinstance(items.func, ast.Attribute)
+        and items.func.attr == "partition"
+    )
+
+
 class _WorkerInfo:
     """Resolved worker function plus the names of its two parameters.
 
@@ -579,6 +612,7 @@ class _WorkerLinter:
                         self._annotation_nodes.add(id(inner))
         # names derived purely from the loop item
         self.derived: set[str] = {worker.item} if worker.item else set()
+        self.derived |= self._partition_loop_vars()
         self._infer_derived()
         self.has_ctx_call = self._has_ctx_call()
         self.has_record_call = self._has_record_call()
@@ -610,6 +644,54 @@ class _WorkerLinter:
                         ):
                             self.derived.add(target.id)
                             changed = True
+
+    def _partition_loop_vars(self) -> set[str]:
+        """Loop variables of ``for i in range(start, end)`` over the chunk.
+
+        Over ``pool.partition`` items, whose ranges are disjoint by
+        construction, ``start, end = chunk.start, chunk.stop`` followed
+        by exactly ``range(start, end)`` visits only the thread's own
+        indices, so the loop variable is item-derived; SimFlow then
+        proves each store stays inside ``[start, end)``.  The bounds
+        themselves are not derived: ``out[i - start]``, ``out[end]`` or
+        ``range(start, end + 1)`` reach other threads' indices.
+        """
+        if not _is_partition_call(self.w.items):
+            return set()
+        nodes = [n for stmt in self.body_nodes for n in ast.walk(stmt)]
+        binds: dict[str, int] = {}
+        for n in nodes:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                binds[n.id] = binds.get(n.id, 0) + 1
+        bounds = None
+        for n in nodes:
+            if (
+                isinstance(n, ast.Assign)
+                and len(n.targets) == 1
+                and isinstance(n.targets[0], ast.Tuple)
+                and len(n.targets[0].elts) == 2
+                and all(isinstance(e, ast.Name) for e in n.targets[0].elts)
+                and _is_chunk_unpack(n.value, self.w.item)
+            ):
+                bounds = [e.id for e in n.targets[0].elts]
+        if bounds is None or any(binds[b] != 1 for b in bounds):
+            return set()
+        return {
+            n.target.id
+            for n in nodes
+            if isinstance(n, ast.For)
+            and isinstance(n.target, ast.Name)
+            and binds[n.target.id] == 1
+            and isinstance(n.iter, ast.Call)
+            and isinstance(n.iter.func, ast.Name)
+            and n.iter.func.id == "range"
+            and not n.iter.keywords
+            and [
+                a.id if isinstance(a, ast.Name) else None
+                for a in n.iter.args
+            ]
+            == bounds
+        }
 
     # -- ctx usage -----------------------------------------------------
 

@@ -81,6 +81,7 @@ from repro.sanitizer.intervals import (
 from repro.sanitizer.lint import (
     LintFinding,
     _find_workers,
+    _is_chunk_unpack,
     _WorkerInfo,
 )
 
@@ -625,8 +626,7 @@ def _apply_stmt(stmt: ast.AST, env: dict, scope: _WorkerScope) -> None:
             isinstance(target, ast.Tuple)
             and len(target.elts) == 2
             and all(isinstance(e, ast.Name) for e in target.elts)
-            and isinstance(stmt.value, ast.Name)
-            and stmt.value.id == scope.worker.item
+            and _is_chunk_unpack(stmt.value, scope.worker.item)
             and scope.chunk_extent is not None
         ):
             # start, end = item over pool.partition(X): 0 <= s, e <= X

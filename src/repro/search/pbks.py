@@ -49,42 +49,93 @@ __all__ = [
 # column order of the values matrix
 _N, _M, _B, _TRI, _TRIP = range(5)
 
+#: Longest run of one node's members that type-A sums in one piece; the
+#: granularity of its split across threads (the cyclic deal it replaces
+#: used 32-vertex chunks).
+_SEGMENT = 32
+
 
 def pbks_type_a_contributions(
-    graph: Graph,
-    coreness: np.ndarray,
     hcd: HCD,
     counts: NeighborCorenessCounts,
     pool: SimulatedPool,
-    out: AtomicArray,
-    num_nodes: int,
+    values: np.ndarray,
 ) -> None:
-    """Algorithm 4 lines 2-9: per-vertex (n, m, b) contributions.
+    """Algorithm 4 lines 2-9: per-node (n, m, b) contributions.
 
     Each vertex adds, to its tree node: one vertex; ``gt + eq/2`` new
     edges (equal-coreness edges are shared between both endpoints);
     and ``lt - gt`` boundary edges (``lt`` edges leave the new core,
-    ``gt`` former boundary edges become internal).
+    ``gt`` former boundary edges become internal).  The sums land in
+    columns ``n, m, b`` of the ``(|T|, 5)`` array ``values``.
+
+    An atomic-free segmented reduction over the HCD's member CSR, which
+    stores each node's vertices contiguously.  Each node's run of
+    members is cut into *segments* of at most ``_SEGMENT`` members, at
+    fixed offsets from the node's start; the segments are split into
+    one contiguous range per thread by cost, and each segment's sums
+    get one owned store.  A gather then gives every node the sum of its
+    segments — one for all but the nodes larger than ``_SEGMENT``.
+    The cuts do not depend on the thread count, so neither does the
+    work (a giant node is still spread over all threads).  Edges are
+    summed in halves (``2 gt + eq``), so every sum is an exact integer.
     """
-    tid = hcd.tid
-
-    def contribute(v: int, ctx) -> None:
-        ctx.charge(3)
-        node = int(tid[v])
-        gt = int(counts.gt[v])
-        eq = int(counts.eq[v])
-        lt = int(counts.lt[v])
-        out.add(ctx, node * 5 + _N, 1.0)
-        out.add(ctx, node * 5 + _M, gt + 0.5 * eq)
-        out.add(ctx, node * 5 + _B, lt - gt)
-
-    pool.parallel_for(
-        range(graph.num_vertices),
-        contribute,
-        label="pbks:typeA",
-        chunking="dynamic",
-        grain=32,
+    offsets, members = hcd.member_csr()
+    t = hcd.num_nodes
+    sizes = np.diff(offsets)
+    node_seg = np.zeros(t + 1, dtype=np.int64)
+    np.cumsum(-(-sizes // _SEGMENT), out=node_seg[1:])
+    num_seg = int(node_seg[-1])
+    seg_node = np.repeat(np.arange(t), np.diff(node_seg))
+    first = offsets[seg_node] + _SEGMENT * (
+        np.arange(num_seg) - node_seg[seg_node]
     )
+    seg_start = np.append(first, members.size)
+    gt, eq, lt = counts.gt, counts.eq, counts.lt
+    seg_m = np.zeros(num_seg, dtype=np.int64)  # half-edges
+    seg_b = np.zeros(num_seg, dtype=np.int64)  # boundary edges
+
+    def reduce_segments(chunk: range, ctx) -> None:
+        start, end = chunk.start, chunk.stop
+        for s in range(start, end):
+            ctx.charge(1)  # the segment's bounds
+            m2 = 0
+            b = 0
+            for i in range(seg_start[s], seg_start[s + 1]):
+                v = members[i]
+                ctx.charge(3)
+                g = gt[v]
+                m2 += 2 * g + eq[v]
+                b += lt[v] - g
+            # one recorded write covers the segment's (m, b) pair
+            ctx.write(("pbks_seg", int(s)))
+            seg_m[s] = m2
+            seg_b[s] = b
+
+    # a segment costs 3 units per member plus its bounds and its store
+    cost = 3 * seg_start + 2 * np.arange(num_seg + 1)
+    pool.parallel_for(
+        pool.partition(num_seg, cost), reduce_segments, label="pbks:typeA"
+    )
+
+    vals = values.reshape(-1)
+
+    def gather(j: int, ctx) -> None:
+        ctx.charge(1)  # the node's segment bounds
+        m2 = 0
+        b = 0
+        for s in range(node_seg[j], node_seg[j + 1]):
+            ctx.read(("pbks_seg", int(s)))
+            m2 += seg_m[s]
+            b += seg_b[s]
+        ctx.write(("pbks_vals", int(j)))
+        # row j of the (|T|, 5) matrix, columns n, m, b; literal offsets
+        # keep each store provably per-item (5j, 5j + 1, 5j + 2)
+        vals[5 * j] = offsets[j + 1] - offsets[j]
+        vals[5 * j + 1] = m2 / 2
+        vals[5 * j + 2] = b
+
+    pool.parallel_for(range(t), gather, label="pbks:typeA_gather")
 
 
 def pbks_type_b_contributions(
@@ -214,16 +265,17 @@ def pbks_node_values(
         return np.empty((0, 5))
     if counts is None:
         counts = preprocess_neighbor_counts(graph, coreness, pool)
-    contributions = AtomicArray(t * 5, dtype=np.float64, name="pbks_vals")
+    values = np.zeros((t, 5))
     with pool.phase("pbks:typeA"):
-        pbks_type_a_contributions(
-            graph, coreness, hcd, counts, pool, contributions, t
-        )
+        pbks_type_a_contributions(hcd, counts, pool, values)
     if need_type_b:
         if rank_result is None:
             from repro.core.vertex_rank import compute_vertex_rank
 
             rank_result = compute_vertex_rank(graph, coreness, pool)
+        contributions = AtomicArray.from_array(
+            values.reshape(-1), name="pbks_vals"
+        )
         with pool.phase("pbks:typeB"):
             pbks_type_b_contributions(
                 graph,
@@ -235,11 +287,8 @@ def pbks_node_values(
                 contributions,
                 t,
             )
-    per_node = contributions.data.reshape(t, 5)
     with pool.phase("pbks:accumulate"):
-        return tree_accumulate(
-            pool, hcd.parent, per_node, label="pbks:accum"
-        )
+        return tree_accumulate(pool, hcd.parent, values, label="pbks:accum")
 
 
 def pbks_search(

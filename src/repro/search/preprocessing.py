@@ -45,36 +45,41 @@ def preprocess_neighbor_counts(
     coreness: np.ndarray,
     pool: SimulatedPool,
 ) -> NeighborCorenessCounts:
-    """One O(m) parallel pass computing the comparison counts."""
+    """One O(m) parallel pass computing the comparison counts.
+
+    Row ``v`` costs ``1 + d(v)`` units, so the rows are split into one
+    contiguous range per thread by that cumulative cost (``indptr`` plus
+    one unit per row); on skewed graphs a split by row count or a cyclic
+    deal of fixed-size chunks leaves one thread with the hubs.
+    """
     coreness = np.asarray(coreness, dtype=np.int64)
     n = graph.num_vertices
     gt = np.zeros(n, dtype=np.int64)
     eq = np.zeros(n, dtype=np.int64)
     indptr, indices = graph.indptr, graph.indices
 
-    def count(v: int, ctx) -> None:
-        # one recorded write covers the vertex's gt/eq output pair
-        ctx.write(("pre_counts", int(v)))
-        cv = coreness[v]
-        g = 0
-        e = 0
-        for u in indices[indptr[v] : indptr[v + 1]]:
-            ctx.charge(1)
-            cu = coreness[u]
-            if cu > cv:
-                g += 1
-            elif cu == cv:
-                e += 1
-        gt[v] = g
-        eq[v] = e
+    def count(chunk: range, ctx) -> None:
+        start, end = chunk.start, chunk.stop
+        for v in range(start, end):
+            # one recorded write covers the vertex's gt/eq output pair
+            ctx.write(("pre_counts", int(v)))
+            cv = coreness[v]
+            g = 0
+            e = 0
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                ctx.charge(1)
+                cu = coreness[u]
+                if cu > cv:
+                    g += 1
+                elif cu == cv:
+                    e += 1
+            gt[v] = g
+            eq[v] = e
 
+    row_cost = indptr + np.arange(n + 1)
     with pool.phase("pbks:preprocess"):
         pool.parallel_for(
-            range(n),
-            count,
-            label="pbks:preprocess",
-            chunking="dynamic",
-            grain=32,
+            pool.partition(n, row_cost), count, label="pbks:preprocess"
         )
     lt = graph.degrees().astype(np.int64) - gt - eq
     return NeighborCorenessCounts(gt=gt, eq=eq, lt=lt)

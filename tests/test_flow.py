@@ -578,3 +578,70 @@ class TestSanitizeCLI:
         assert "flow" in data
         assert data["flow"]["effects"]
         assert data["flow"]["verified_disjoint"]
+
+
+# ======================================================================
+# the chunk idiom over pool.partition ranges
+# ======================================================================
+
+PARTITION_CHUNKS = """
+def run(pool, out, n, prefix):
+    def worker(chunk, ctx):
+        start, end = chunk.start, chunk.stop
+        for i in range(start, end):
+            ctx.write(("out", i))
+            out[i] = i
+    pool.parallel_for(pool.partition(n, prefix), worker)
+"""
+
+
+class TestPartitionChunks:
+    def test_range_unpack_verified_as_chunk(self):
+        rep = analyze_source(PARTITION_CHUNKS, "m.py")
+        assert not rep.findings
+        assert [v.mode for v in rep.verified] == ["chunk"]
+
+    def test_range_unpack_off_by_one_is_san403(self):
+        rep = analyze_source(
+            PARTITION_CHUNKS.replace("out[i] = i", "out[i + 1] = i"), "m.py"
+        )
+        assert [f.code for f in rep.findings] == ["SAN403"]
+
+    def test_lint_derives_partition_chunk_loops(self):
+        # partition ranges are disjoint by construction, so the loop
+        # index is item-derived: clean with a record, SAN201 without
+        assert not lint_source(PARTITION_CHUNKS, "m.py")
+        bare = PARTITION_CHUNKS.replace('ctx.write(("out", i))', "ctx.charge(1)")
+        assert [f.code for f in lint_source(bare, "m.py")] == ["SAN201"]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # every thread writes out[0:len)
+            ("out[i] = i", "out[i - start] = i"),
+            ("out[i] = i", "out[end] = i"),
+            ("range(start, end)", "range(start)"),
+            ("range(start, end)", "range(start, end + 1)"),
+            ("range(start, end)", "range(end, start)"),
+            # a rebound bound no longer names the thread's range
+            ("for i in", "start = 0\n        for i in"),
+        ],
+    )
+    def test_lint_keeps_san101_off_the_exact_chunk_loop(self, old, new):
+        # only `for i in range(start, end)` over the unpacked bounds is
+        # item-derived; the bounds themselves are not
+        src = PARTITION_CHUNKS.replace(old, new)
+        assert src != PARTITION_CHUNKS
+        assert [f.code for f in lint_source(src, "m.py")] == ["SAN101"]
+
+    def test_lint_keeps_san101_over_arbitrary_chunks(self):
+        # a caller-built chunk list may overlap: the lint cannot relate
+        # the loop index to a disjoint item
+        src = PARTITION_CHUNKS.replace("pool.partition(n, prefix)", "chunks")
+        assert [f.code for f in lint_source(src, "m.py")] == ["SAN101"]
+
+    def test_other_attribute_unpack_is_not_a_chunk(self):
+        src = PARTITION_CHUNKS.replace("chunk.stop", "chunk.step")
+        rep = analyze_source(src, "m.py")
+        assert not rep.verified
+        assert [f.code for f in lint_source(src, "m.py")] == ["SAN101"]

@@ -407,3 +407,25 @@ def test_committed_flow_baseline_not_stale():
     from repro.cli import main
 
     assert main(["sanitize", "--flow", "--strict"]) == 0
+
+
+def test_partition_range_unpack_binds_chunk_bounds():
+    """``start, end = chunk.start, chunk.stop`` over ``pool.partition(n,
+    ...)`` binds both bounds to [0, n], so stores in the chunk loop are
+    proven in bounds."""
+    src = (
+        "def run(pool, out, n, prefix):\n"
+        "    def worker(chunk, ctx):\n"
+        "        start, end = chunk.start, chunk.stop\n"
+        "        for i in range(start, end):\n"
+        "            ctx.write(('out', i))\n"
+        "            out[i] = i\n"
+        "    pool.parallel_for(pool.partition(n, prefix), worker)\n"
+    )
+    cert = prove_source(src, extents={"out": "n"}).certificates["<source>"]
+    assert cert.fully_proven
+    assert "out" in cert.proven_arrays
+    shifted = prove_source(
+        src.replace("out[i] = i", "out[i + 1] = i"), extents={"out": "n"}
+    ).certificates["<source>"]
+    assert not shifted.fully_proven

@@ -1,5 +1,6 @@
 """Tests for the simulated-multicore scheduler and cost model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
@@ -24,6 +25,15 @@ class TestPartitioning:
         pool = SimulatedPool(threads=8)
         sizes = [len(r) for r in pool.partition(3)]
         assert sum(sizes) == 3
+
+    def test_dynamic_deal_is_fixed_cyclic(self):
+        # 'dynamic' is OpenMP schedule(static, grain): chunk c goes to
+        # thread c % p, decided before any item runs
+        pool = SimulatedPool(threads=3)
+        buckets = pool._dynamic_assignment(20, grain=4)
+        assert buckets[0] == [0, 1, 2, 3, 12, 13, 14, 15]
+        assert buckets[1] == [4, 5, 6, 7, 16, 17, 18, 19]
+        assert buckets[2] == [8, 9, 10, 11]
 
     def test_dynamic_assignment_covers_all(self):
         pool = SimulatedPool(threads=3)
@@ -250,3 +260,117 @@ class TestCostModel:
         assert region.items == 3
         assert region.threads == 2
         assert region.work_total == pytest.approx(3)
+
+
+def _prefix(costs):
+    return np.concatenate([[0], np.cumsum(costs)])
+
+
+class TestCostPartition:
+    """``partition(count, prefix)``: contiguous ranges of near-equal cost."""
+
+    def _check_cover(self, ranges, count, threads):
+        assert len(ranges) == threads
+        assert [i for r in ranges for i in r] == list(range(count))
+        assert ranges[0].start == 0
+        assert ranges[-1].stop == count
+        for left, right in zip(ranges, ranges[1:]):
+            assert left.stop == right.start  # contiguous and monotone
+            assert left.start <= left.stop
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 8, 16])
+    def test_each_index_exactly_once(self, threads):
+        rng = np.random.default_rng(threads)
+        costs = rng.integers(0, 50, size=200)
+        ranges = SimulatedPool(threads=threads).partition(200, _prefix(costs))
+        self._check_cover(ranges, 200, threads)
+
+    @pytest.mark.parametrize("threads", [2, 4, 8])
+    def test_each_range_within_one_item_of_an_equal_share(self, threads):
+        rng = np.random.default_rng(7)
+        costs = rng.pareto(1.5, size=500) * 10
+        prefix = _prefix(costs)
+        ranges = SimulatedPool(threads=threads).partition(500, prefix)
+        share = prefix[-1] / threads
+        for r in ranges:
+            assert prefix[r.stop] - prefix[r.start] <= share + costs.max()
+
+    def test_balances_skewed_rows_better_than_count_split(self):
+        costs = np.array([1000] * 10 + [1] * 990)
+        pool = SimulatedPool(threads=4)
+        prefix = _prefix(costs)
+
+        def worst(ranges):
+            return max(prefix[r.stop] - prefix[r.start] for r in ranges)
+
+        assert worst(pool.partition(1000, prefix)) < worst(
+            pool.partition(1000)
+        ) / 2
+
+    def test_fewer_items_than_threads(self):
+        ranges = SimulatedPool(threads=8).partition(3, _prefix([5, 1, 9]))
+        self._check_cover(ranges, 3, 8)
+        assert sum(1 for r in ranges if len(r)) <= 3
+
+    def test_zero_items(self):
+        ranges = SimulatedPool(threads=4).partition(0, [0])
+        self._check_cover(ranges, 0, 4)
+
+    def test_all_zero_costs_fall_back_to_count_split(self):
+        pool = SimulatedPool(threads=3)
+        assert pool.partition(10, np.zeros(11)) == pool.partition(10)
+
+    def test_one_item_heavier_than_the_rest_combined(self):
+        costs = [1, 1, 1, 1000, 1, 1, 1]
+        ranges = SimulatedPool(threads=4).partition(7, _prefix(costs))
+        self._check_cover(ranges, 7, 4)
+        holder = [r for r in ranges if 3 in r][0]
+        # the heavy item's range holds nothing after it
+        assert holder.stop == 4
+
+    def test_offset_prefix_is_relative(self):
+        pool = SimulatedPool(threads=4)
+        prefix = _prefix([3, 1, 4, 1, 5, 9, 2, 6])
+        assert pool.partition(8, prefix + 100) == pool.partition(8, prefix)
+
+    def test_wrong_prefix_length_rejected(self):
+        with pytest.raises(SchedulerError):
+            SimulatedPool(threads=2).partition(5, [0, 1, 2])
+
+    def test_decreasing_prefix_rejected(self):
+        with pytest.raises(SchedulerError):
+            SimulatedPool(threads=2).partition(2, [0, 5, 3])
+
+    def test_ranges_drive_a_chunked_region(self):
+        pool = SimulatedPool(threads=4)
+        out = np.zeros(40, dtype=np.int64)
+
+        def fill(chunk, ctx):
+            start, end = chunk.start, chunk.stop
+            for i in range(start, end):
+                ctx.write(("out", i))
+                out[i] = i
+
+        pool.parallel_for(pool.partition(40, _prefix([1] * 40)), fill)
+        assert out.tolist() == list(range(40))
+        assert pool.last_region.items == 4
+
+
+def test_preprocess_elapsed_near_balanced_on_rmat():
+    """Row-cost partition: ``pbks:preprocess`` on a skewed R-MAT graph
+    costs at most 1.1x an even share of its work plus the overheads."""
+    from repro.core.decomposition import core_decomposition
+    from repro.graph.generators import rmat
+    from repro.search.preprocessing import preprocess_neighbor_counts
+
+    graph = rmat(12, 6, seed=1)
+    coreness = core_decomposition(graph)
+    pool = SimulatedPool(threads=4)
+    preprocess_neighbor_counts(graph, coreness, pool)
+    (region,) = [r for r in pool.regions if r.label == "pbks:preprocess"]
+    cost = pool.cost_model
+    overheads = 4 * cost.spawn_cost + cost.barrier_cost
+    assert region.work_total == graph.num_vertices + 2 * graph.num_edges
+    assert region.elapsed <= 1.1 * (
+        region.work_total * cost.op_cost / 4 + overheads
+    )
