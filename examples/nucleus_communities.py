@@ -39,10 +39,10 @@ def main() -> None:
     print(f"\nnucleus hierarchy: {hierarchy.num_nodes} nodes")
     print(f"total simulated time: {pool.clock:.0f}")
 
-    deepest = int(np.argmax(hierarchy.node_theta))
-    k = int(hierarchy.node_theta[deepest])
-    members = hierarchy.vertices_of_nucleus(deepest)
-    tris = hierarchy.reconstruct_nucleus(deepest)
+    deepest = int(np.argmax(hierarchy.level))
+    k = int(hierarchy.level[deepest])
+    members = hierarchy.vertices(deepest)
+    tris = hierarchy.reconstruct(deepest)
     print(
         f"\ndeepest community: a {k}-(3,4)-nucleus with {tris.size} "
         f"triangles over {members.size} vertices"

@@ -35,12 +35,10 @@ def main() -> None:
     print(f"total simulated time: {pool.clock:.0f}")
 
     # the deepest community: a tightly knit triangle-rich group
-    deepest = int(np.argmax(hierarchy.node_trussness))
-    k = int(hierarchy.node_trussness[deepest])
-    edge_ids = hierarchy.reconstruct_truss(deepest)
-    vertices = sorted(
-        {int(x) for e in edge_ids for x in index.edges[e]}
-    )
+    deepest = int(np.argmax(hierarchy.level))
+    k = int(hierarchy.level[deepest])
+    edge_ids = hierarchy.reconstruct(deepest)
+    vertices = hierarchy.vertices(deepest).tolist()
     print(
         f"\ndeepest community: a {k}-truss with {edge_ids.size} edges over "
         f"{len(vertices)} vertices: {vertices[:12]}"

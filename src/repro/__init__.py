@@ -24,7 +24,7 @@ Quick start::
 """
 
 from repro.core.decomposition import core_decomposition
-from repro.core.hcd import HCD
+from repro.core.hcd import HCD, ElementHierarchy
 from repro.core.lcps import lcps_build_hcd
 from repro.core.phcd import phcd_build_hcd
 from repro.core.pkc import pkc_core_decomposition
@@ -36,7 +36,7 @@ from repro.pipeline import DecompositionResult, decompose, search_best_core
 from repro.dynamic.maintenance import DynamicGraph
 from repro.ecc.decomposition import ecc_decomposition, k_edge_connected_components
 from repro.nucleus.decomposition import nucleus_decomposition
-from repro.nucleus.hierarchy import NucleusHierarchy, nucleus_hierarchy
+from repro.nucleus.hierarchy import nucleus_hierarchy
 from repro.search.bks import bks_search
 from repro.search.anchoring import anchored_k_core, greedy_anchors
 from repro.search.influential import InfluentialCommunityIndex
@@ -44,7 +44,7 @@ from repro.search.metrics import get_metric, metric_names, register_metric
 from repro.search.pbks import pbks_search
 from repro.search.result import SearchResult
 from repro.truss.decomposition import truss_decomposition
-from repro.truss.hierarchy import TrussHierarchy, truss_hierarchy
+from repro.truss.hierarchy import truss_hierarchy
 
 __version__ = "1.0.0"
 
@@ -52,6 +52,7 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "HCD",
+    "ElementHierarchy",
     "SimulatedPool",
     "CostModel",
     "core_decomposition",
@@ -73,11 +74,9 @@ __all__ = [
     "k_edge_connected_components",
     "nucleus_decomposition",
     "nucleus_hierarchy",
-    "NucleusHierarchy",
     "anchored_k_core",
     "greedy_anchors",
     "truss_decomposition",
     "truss_hierarchy",
-    "TrussHierarchy",
     "__version__",
 ]

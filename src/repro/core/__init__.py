@@ -5,7 +5,7 @@ from repro.core.decomposition import core_decomposition, k_core_members, shell_s
 from repro.core.distributed import mpm_core_decomposition
 from repro.core.julienne import julienne_core_decomposition
 from repro.core.divide_conquer import DncResult, dnc_build_hcd
-from repro.core.hcd import HCD, HCDBuilder, HCDStats
+from repro.core.hcd import HCD, ElementHierarchy, HCDBuilder, HCDStats
 from repro.core.lcps import lcps_build_hcd
 from repro.core.local_search import local_core_search, rc_build_hcd
 from repro.core.lower_bound import lower_bound_cost
@@ -29,6 +29,7 @@ __all__ = [
     "HCD",
     "HCDBuilder",
     "HCDStats",
+    "ElementHierarchy",
     "lcps_build_hcd",
     "phcd_build_hcd",
     "rc_build_hcd",

@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import HierarchyError
 from repro.graph.graph import Graph
 
-__all__ = ["HCD", "HCDBuilder", "HCDStats"]
+__all__ = ["HCD", "HCDBuilder", "HCDStats", "ElementHierarchy"]
 
 
 @dataclass(frozen=True)
@@ -267,43 +267,17 @@ class HCD:
     def validate(self, graph: Graph, coreness: np.ndarray) -> None:
         """Check every HCD invariant; raise :class:`HierarchyError` if broken.
 
-        Invariants checked (Definitions 1-3):
+        Invariants checked (Definitions 1-3): the forest shape checks of
+        :meth:`validate_partition` against ``coreness``, then for every
+        node
 
-        1. the node vertex sets partition ``V`` and agree with ``tid``;
-        2. every vertex in a node has coreness equal to the node's k;
-        3. parent coreness is strictly smaller than child coreness;
-        4. each reconstructed original k-core is connected in ``G``;
-        5. each reconstructed k-core is exactly a maximal connected
-           subgraph of ``{v : c(v) >= k}`` — i.e. a true k-core;
-        6. the parent's reconstructed core strictly contains the child's.
+        1. the reconstructed original k-core holds no vertex below k;
+        2. it is exactly a maximal connected subgraph of
+           ``{v : c(v) >= k}`` — i.e. a true, connected k-core;
+        3. the parent's reconstructed core strictly contains it.
         """
         coreness = np.asarray(coreness, dtype=np.int64)
-        n = graph.num_vertices
-        seen = np.zeros(n, dtype=bool)
-        for node in range(self.num_nodes):
-            k = int(self.node_coreness[node])
-            verts = self._node_vertices[node]
-            if verts.size == 0:
-                raise HierarchyError(f"tree node {node} is empty")
-            for v in verts:
-                v = int(v)
-                if seen[v]:
-                    raise HierarchyError(f"vertex {v} appears in two tree nodes")
-                seen[v] = True
-                if int(self.tid[v]) != node:
-                    raise HierarchyError(f"tid({v}) != owning node {node}")
-                if int(coreness[v]) != k:
-                    raise HierarchyError(
-                        f"vertex {v} has coreness {coreness[v]} in a {k}-node"
-                    )
-            pa = int(self.parent[node])
-            if pa >= 0 and int(self.node_coreness[pa]) >= k:
-                raise HierarchyError(
-                    f"parent coreness {self.node_coreness[pa]} >= child {k}"
-                )
-        if not bool(seen.all()):
-            missing = int(np.flatnonzero(~seen)[0])
-            raise HierarchyError(f"vertex {missing} missing from the HCD")
+        self.validate_partition(coreness)
 
         # Reconstruction checks against the direct definition.
         for node in range(self.num_nodes):
@@ -335,6 +309,42 @@ class HCD:
                     raise HierarchyError(
                         f"node {node}: not strictly contained in parent's core"
                     )
+
+    def validate_partition(self, levels: np.ndarray) -> None:
+        """Check the forest's shape against per-member ``levels``.
+
+        Raises :class:`HierarchyError` unless every node is non-empty,
+        the node member sets partition ``range(len(levels))`` and agree
+        with ``tid``, every member's level equals its node's, and every
+        parent's level is strictly below its child's.
+        """
+        levels = np.asarray(levels, dtype=np.int64)
+        seen = np.zeros(levels.size, dtype=bool)
+        for node in range(self.num_nodes):
+            k = int(self.node_coreness[node])
+            members = self._node_vertices[node]
+            if members.size == 0:
+                raise HierarchyError(f"tree node {node} is empty")
+            for v in members.tolist():
+                if not 0 <= v < levels.size:
+                    raise HierarchyError(f"member {v} out of range")
+                if seen[v]:
+                    raise HierarchyError(f"member {v} appears in two tree nodes")
+                seen[v] = True
+                if int(self.tid[v]) != node:
+                    raise HierarchyError(f"tid({v}) != owning node {node}")
+                if int(levels[v]) != k:
+                    raise HierarchyError(
+                        f"member {v} has level {levels[v]} in a {k}-node"
+                    )
+            pa = int(self.parent[node])
+            if pa >= 0 and int(self.node_coreness[pa]) >= k:
+                raise HierarchyError(
+                    f"parent level {self.node_coreness[pa]} >= child {k}"
+                )
+        if not bool(seen.all()):
+            missing = int(np.flatnonzero(~seen)[0])
+            raise HierarchyError(f"member {missing} missing from the forest")
 
     # ------------------------------------------------------------------
     # persistence
@@ -436,6 +446,64 @@ class HCD:
             f"HCD(nodes={self.num_nodes}, vertices={self.num_vertices}, "
             f"kmax={self.kmax})"
         )
+
+
+class ElementHierarchy:
+    """A hierarchy whose tree nodes hold element ids instead of vertices.
+
+    Algorithm 2 run over edges (:func:`repro.truss.truss_hierarchy`) or
+    triangles (:func:`repro.nucleus.nucleus_hierarchy`) yields the
+    HCD's forest shape over elements.  ``level[i]`` is node i's
+    trussness or nucleus number, ``parent[i]`` its parent (-1 for
+    roots), ``node_of[x]`` the node holding element ``x``;
+    :meth:`members` lists a node's own elements and :meth:`reconstruct`
+    the whole community (the node's subtree).  ``index`` is the model's
+    element index (:class:`~repro.truss.EdgeIndex` or
+    :class:`~repro.nucleus.TriangleIndex`), through which
+    :meth:`vertices` maps a community back to graph vertices.
+    """
+
+    def __init__(self, index, forest: HCD) -> None:
+        self.index = index
+        self.level = forest.node_coreness
+        self.parent = forest.parent
+        self.node_of = forest.tid
+        self.children = forest.children
+        self._forest = forest
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of tree nodes."""
+        return self._forest.num_nodes
+
+    def members(self, node: int) -> np.ndarray:
+        """Element ids stored directly in ``node``."""
+        return self._forest.vertices_of(node)
+
+    def subtree_nodes(self, node: int) -> list[int]:
+        """All nodes in the subtree rooted at ``node`` (preorder)."""
+        return self._forest.subtree_nodes(node)
+
+    def reconstruct(self, node: int) -> np.ndarray:
+        """Sorted element ids of the node's whole community."""
+        return self._forest.reconstruct_core(node)
+
+    def vertices(self, node: int) -> np.ndarray:
+        """Distinct graph vertices of the node's whole community."""
+        return self.index.vertices_of(self.reconstruct(node))
+
+    def canonical_form(
+        self,
+    ) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
+        """Order-independent content description (for equality tests)."""
+        return self._forest.canonical_form()
+
+    def validate(self, levels: np.ndarray) -> None:
+        """Raise :class:`HierarchyError` unless every node is non-empty,
+        the nodes partition the elements in agreement with ``node_of``,
+        each element's level equals its node's, and each parent's level
+        is strictly below its child's."""
+        self._forest.validate_partition(levels)
 
 
 class HCDBuilder:

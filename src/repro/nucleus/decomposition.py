@@ -95,6 +95,10 @@ class TriangleIndex:
                 out.append((t1, t2, t3))
         return out
 
+    def vertices_of(self, tids: np.ndarray) -> np.ndarray:
+        """Distinct corners of the triangles ``tids``, ascending."""
+        return np.unique(self.triangles[tids].reshape(-1))
+
     def __len__(self) -> int:
         return int(self.triangles.shape[0])
 

@@ -318,6 +318,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "flat_bins",
             "indices",
             "indptr",
+            "level",
             "next_parts",
             "settled",
             "vsort",
@@ -351,6 +352,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "flat_bins",
             "indices",
             "indptr",
+            "level",
             "next_parts",
             "settled",
             "vsort",
@@ -388,6 +390,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "gt",
             "indices",
             "indptr",
+            "level",
             "lt",
             "members",
             "next_parts",
@@ -512,6 +515,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "flat_bins",
             "indices",
             "indptr",
+            "level",
             "vsort",
         ),
         "writes": (
@@ -557,6 +561,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "flat_bins",
             "indices",
             "indptr",
+            "level",
             "next_parts",
             "settled",
             "vsort",
@@ -593,6 +598,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "flat_bins",
             "indices",
             "indptr",
+            "level",
             "next_parts",
             "settled",
             "vsort",

@@ -52,6 +52,7 @@ every other SAN family.
 from __future__ import annotations
 
 import ast
+import builtins
 import json
 import re
 from dataclasses import dataclass, field
@@ -80,6 +81,7 @@ from repro.sanitizer.intervals import (
 )
 from repro.sanitizer.lint import (
     LintFinding,
+    _assigned_names,
     _find_workers,
     _is_chunk_unpack,
     _WorkerInfo,
@@ -575,7 +577,7 @@ def _iter_interval(
 ) -> Interval:
     """Domain of a ``for`` target given its iterable expression."""
     node = iter_expr
-    # unwrap list(range(...)) / enumerate is left unknown
+    # unwrap list(range(...)) and arr.tolist(); enumerate is left unknown
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -583,6 +585,13 @@ def _iter_interval(
         and node.args
     ):
         node = node.args[0]
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "tolist"
+        and not node.args
+    ):
+        node = node.func.value
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -808,6 +817,7 @@ class _ObligationCollector:
         worker_name: str,
         suppressed: set,
         atomic_extents: dict,
+        body: "_Body | None" = None,
     ) -> None:
         self.scope = scope
         self.env = env
@@ -817,6 +827,7 @@ class _ObligationCollector:
         self.worker_name = worker_name
         self.suppressed = suppressed
         self.atomic_extents = atomic_extents
+        self.body = body
 
     def _add(
         self,
@@ -904,6 +915,9 @@ class _ObligationCollector:
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
+        if isinstance(func, ast.Name) and self.body is not None:
+            self.body.call(self, node)
+            return
         if not isinstance(func, ast.Attribute):
             return
         # recorded accesses: ctx.read/write/atomic/atomic_load(("name", i))
@@ -1050,49 +1064,294 @@ def _seed_item_env(
         scope.base_env[worker.item] = iv
 
 
-def _prove_worker(
-    kernel: str,
-    info: ModuleInfo,
-    worker: _WorkerInfo,
-    extents: dict,
-    facts: SymbolFacts,
-    assumptions: _Assumptions,
-    atomic_extents: dict,
-    used_assumptions: list,
-) -> list:
-    """All bounds obligations of one worker closure, judged."""
-    node = worker.node
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        return []
-    locals_ = _worker_locals(worker)
-    scope = _WorkerScope(
-        worker, locals_, extents, _csr_value_facts(extents), facts, None
+def _atomic_extents(info: ModuleInfo, node: ast.AST, ctor_cache: dict) -> dict:
+    """Resolvable ``AtomicArray`` receivers of indexed atomic calls in
+    ``node``: each self-declares its extent through its constructor."""
+    out: dict = {}
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and isinstance(sub.func.value, ast.Name)
+            and sub.func.attr in _INDEXED_ATOMIC_METHODS
+        ):
+            recv = sub.func.value.id
+            if recv not in ctor_cache:
+                ctor_cache[recv] = _resolve_ctor(info, recv)
+            ctor = ctor_cache[recv]
+            if ctor is not None and ctor.kind == "array":
+                out[recv] = ctor
+    return out
+
+
+def _param_names(fn: ast.AST) -> list:
+    a = fn.args
+    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+
+
+def _passed(fn: ast.AST, call: ast.Call) -> dict | None:
+    """Parameter -> argument expression at ``call``; None when
+    ``*args``/``**kwargs`` hide the mapping."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        kw.arg is None for kw in call.keywords
+    ):
+        return None
+    positional = [p.arg for p in fn.args.posonlyargs + fn.args.args]
+    out = dict(zip(positional, call.args))
+    out.update((kw.arg, kw.value) for kw in call.keywords)
+    return out
+
+
+@dataclass
+class _Binding:
+    """The functions a called name may hold.
+
+    ``refs`` maps qualname -> :class:`FunctionRef` for every resolvable
+    definition; ``opaque`` marks that it may also hold a function value
+    the prover cannot trace, which may close over any array.  Builtins,
+    classes and functions outside the analysed tree bind to nothing:
+    like attribute calls, they are trusted.
+    """
+
+    refs: dict = field(default_factory=dict)
+    opaque: bool = False
+
+    def merge(self, other: "_Binding") -> bool:
+        before = (len(self.refs), self.opaque)
+        self.refs.update(other.refs)
+        self.opaque |= other.opaque
+        return before != (len(self.refs), self.opaque)
+
+
+def _bound(expr: ast.AST | None, resolve) -> _Binding:
+    """What an argument (or default) expression passes as a function."""
+    if expr is None or (isinstance(expr, ast.Constant) and expr.value is None):
+        return _Binding()
+    if isinstance(expr, ast.Name):
+        return resolve(expr.id)
+    return _Binding(opaque=True)
+
+
+def _param_bindings(fn: ast.AST, call: ast.Call, resolve) -> dict:
+    """Parameter -> :class:`_Binding` of ``fn`` called at ``call``: the
+    argument passed, else the default; all untraceable when
+    ``*args``/``**kwargs`` hide the mapping."""
+    passed = _passed(fn, call)
+    if passed is None:
+        return {p: _Binding(opaque=True) for p in _param_names(fn)}
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+    defaults.update(
+        (p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
     )
-    scope.base_env = {}
-    _seed_item_env(worker, scope, assumptions, used_assumptions)
-    cfg = build_cfg(node)
-    envs = _fixpoint(cfg, scope.base_env, scope)
-    obligations: list = []
-    for block in cfg.blocks:
-        env = dict(envs.get(block.bid, {}))
-        collector = _ObligationCollector(
-            scope,
-            env,
-            obligations,
-            kernel,
-            info.path,
-            _worker_name(worker),
-            info.suppressed,
-            atomic_extents,
+    return {
+        p: _bound(passed.get(p, defaults.get(p)), resolve)
+        for p in _param_names(fn)
+    }
+
+
+def _resolve_callable(
+    index: ModuleIndex,
+    bindings: dict,
+    info: ModuleInfo,
+    scope: tuple,
+    name: str,
+    local: dict,
+) -> _Binding:
+    """What ``name`` called inside ``scope`` (a dotted function path in
+    ``info``) may be: the call-site ``local`` bindings of a helper's own
+    parameters, nested or module-level defs innermost-out, the
+    reachable call sites' bindings of an enclosing function's
+    parameter, then imports."""
+    if name in local:
+        return local[name]
+    for depth in range(len(scope), -1, -1):
+        prefix = ".".join(scope[:depth])
+        qual = f"{prefix}.{name}" if prefix else name
+        node = info.functions.get(qual)
+        if node is not None:
+            return _Binding({f"{info.name}.{qual}": FunctionRef(info, qual, node)})
+        fn = info.functions.get(prefix) if depth else None
+        if fn is None:
+            continue
+        if name in _param_names(fn):
+            return bindings.get(f"{info.name}.{prefix}", {}).get(
+                name, _Binding(opaque=True)
+            )
+        if name in _assigned_names(fn):
+            return _Binding(opaque=True)
+    target = info.imports.get(name)
+    if target is not None and target[1] is not None:
+        ref = index.get_function(target[0], target[1])
+        return _Binding({ref.qualname: ref}) if ref else _Binding()
+    if name in _BUILTINS or any(
+        isinstance(n, ast.ClassDef) and n.name == name for n in info.tree.body
+    ):
+        return _Binding()
+    return _Binding(opaque=True)
+
+
+#: Names every module sees without an import (``int``, ``len``, ...).
+_BUILTINS = frozenset(dir(builtins))
+#: Helper nesting followed below a worker before failing closed.
+_MAX_CALL_DEPTH = 4
+
+
+class _Run:
+    """One certification run: shared inputs and the collected output."""
+
+    def __init__(
+        self,
+        analyzer: "ProveAnalyzer",
+        kernel: str,
+        extents: dict,
+        facts: SymbolFacts,
+        bindings: dict,
+    ) -> None:
+        self.analyzer = analyzer
+        self.kernel = kernel
+        self.extents = extents
+        self.facts = facts
+        self.bindings = bindings
+        self.obligations: list = []
+        self.sites: list = []
+        self.used_assumptions: list = []
+        self._classified: set = set()
+
+    def prove_worker(
+        self, info: ModuleInfo, qualpath: str, worker: _WorkerInfo
+    ) -> None:
+        """Bounds obligations and combining sites of one worker closure."""
+        node = worker.node
+        scope = _WorkerScope(
+            worker, _worker_locals(worker), self.extents,
+            _csr_value_facts(self.extents), self.facts, None,
         )
-        if block.test is not None and getattr(
-            block.test, "lineno", None
-        ) not in info.suppressed:
-            collector.visit(block.test)
-        for stmt in block.stmts:
-            collector.visit(stmt)
-            _apply_stmt(stmt, env, scope)
-    return obligations
+        scope.base_env = {}
+        _seed_item_env(
+            worker, scope, self.analyzer._module_assumptions(info),
+            self.used_assumptions,
+        )
+        lexical = next(
+            (q for q, fn in info.functions.items() if fn is node), None
+        )
+        body = _Body(
+            self, info, tuple((lexical or qualpath).split(".")), {},
+            _worker_name(worker), (id(node),),
+        )
+        body.prove(scope)
+        self.classify(info, qualpath, worker)
+
+    def classify(
+        self, info: ModuleInfo, func: str, worker: _WorkerInfo
+    ) -> None:
+        if id(worker.node) in self._classified:
+            return
+        self._classified.add(id(worker.node))
+        ctor_cache = self.analyzer._ctors.setdefault(info.path, {})
+        self.sites.extend(_classify_sites(info, func, worker, ctor_cache))
+
+
+class _Body:
+    """One analysed function body: a worker, or a helper it calls.
+
+    Helpers are proven in the caller's context — parameters bound to
+    the argument intervals at the call site — so an access moved out of
+    a worker into a nested ``def`` keeps its obligation.
+    """
+
+    def __init__(
+        self,
+        run: _Run,
+        info: ModuleInfo,
+        scope: tuple,
+        local: dict,
+        display: str,
+        chain: tuple,
+    ) -> None:
+        self.run = run
+        self.info = info
+        self.scope = scope
+        self.local = local
+        self.display = display
+        self.chain = chain
+
+    def prove(self, scope: _WorkerScope) -> None:
+        run, info = self.run, self.info
+        ctor_cache = run.analyzer._ctors.setdefault(info.path, {})
+        atomics = _atomic_extents(info, scope.worker.node, ctor_cache)
+        cfg = build_cfg(scope.worker.node)
+        envs = _fixpoint(cfg, scope.base_env, scope)
+        for block in cfg.blocks:
+            env = dict(envs.get(block.bid, {}))
+            collector = _ObligationCollector(
+                scope, env, run.obligations, run.kernel, info.path,
+                self.display, info.suppressed, atomics, self,
+            )
+            if block.test is not None and getattr(
+                block.test, "lineno", None
+            ) not in info.suppressed:
+                collector.visit(block.test)
+            for stmt in block.stmts:
+                collector.visit(stmt)
+                _apply_stmt(stmt, env, scope)
+
+    def resolve(self, name: str) -> _Binding:
+        return _resolve_callable(
+            self.run.analyzer.index, self.run.bindings, self.info,
+            self.scope, name, self.local,
+        )
+
+    def call(self, collector: "_ObligationCollector", node: ast.Call) -> None:
+        """Prove a bare-name call: every definition it may reach, in the
+        call site's context; an untraceable function value fails closed
+        on every declared array."""
+        name = node.func.id
+        binding = self.resolve(name)
+        opaque = binding.opaque
+        for ref in binding.refs.values():
+            if len(self.chain) > _MAX_CALL_DEPTH or id(ref.node) in self.chain:
+                opaque = True
+                continue
+            self._prove_callee(collector, node, ref)
+        if opaque:
+            for array in sorted(collector.scope.extents):
+                collector._add(
+                    "call", array, None, node.lineno, "unproven",
+                    f"untraceable callee {name}() may access it",
+                    index_repr=f"{name}()",
+                )
+
+    def _prove_callee(
+        self, collector: "_ObligationCollector", node: ast.Call, ref: FunctionRef
+    ) -> None:
+        fn = ref.node
+        caller = collector.scope
+        passed = _passed(fn, node) or {}
+        ctx = next(
+            (
+                p for p, arg in passed.items()
+                if isinstance(arg, ast.Name) and arg.id == caller.worker.ctx
+            ),
+            None,
+        )
+        worker = _WorkerInfo(fn, None, ctx, node.lineno, None)
+        scope = _WorkerScope(
+            worker, _worker_locals(worker) | set(_param_names(fn)),
+            caller.extents, caller.value_facts, caller.facts, None,
+        )
+        scope.base_env = {
+            p: _eval(arg, collector.env, caller) for p, arg in passed.items()
+        }
+        callee = _Body(
+            self.run, ref.module, tuple(ref.qualpath.split(".")),
+            _param_bindings(fn, node, self.resolve),
+            f"{self.display}>{fn.name}", self.chain + (id(fn),),
+        )
+        callee.prove(scope)
+        self.run.classify(ref.module, ref.qualpath, worker)
 
 
 # ======================================================================
@@ -1193,11 +1452,20 @@ class ProveAnalyzer:
 
     def _reachable_workers(
         self, entry: FunctionRef
-    ) -> list[tuple[FunctionRef, _WorkerInfo]]:
+    ) -> tuple[list[tuple[FunctionRef, _WorkerInfo]], dict]:
         """(enclosing function, worker) pairs reachable from ``entry``
         through the in-repo call graph — same BFS as SimFlow's effect
-        inference, so certificates cover exactly the declared universe."""
+        inference, so certificates cover exactly the declared universe
+        — plus the parameter bindings of every function reached:
+        qualname -> {param: :class:`_Binding`}, the functions each
+        parameter may hold across all reachable call sites.  A function
+        passed as an argument counts as reachable too."""
         out: list = []
+        bindings: dict = {
+            entry.qualname: {
+                p: _Binding(opaque=True) for p in _param_names(entry.node)
+            }
+        }
         visited: set[str] = set()
         seen_workers: set[int] = set()
         queue: list[FunctionRef] = [entry]
@@ -1212,13 +1480,29 @@ class ProveAnalyzer:
                     continue
                 seen_workers.add(id(worker.node))
                 out.append((ref, worker))
+
+            def resolve(name: str) -> _Binding:
+                return _resolve_callable(
+                    self.index, bindings, ref.module, scope, name, {}
+                )
+
             for call in ast.walk(ref.node):
                 if not isinstance(call, ast.Call):
                     continue
                 target = self.index.resolve_call(ref.module, scope, call)
-                if target is not None and target.qualname not in visited:
-                    queue.append(target)
-        return out
+                if target is None:
+                    continue
+                table = bindings.setdefault(target.qualname, {})
+                changed = False
+                for param, bound in _param_bindings(
+                    target.node, call, resolve
+                ).items():
+                    changed |= table.setdefault(param, _Binding()).merge(bound)
+                    queue.extend(bound.refs.values())
+                if changed:
+                    visited.discard(target.qualname)
+                queue.append(target)
+        return out, bindings
 
     # ------------------------------------------------------------------
 
@@ -1229,58 +1513,14 @@ class ProveAnalyzer:
         extent_exprs: dict,
     ) -> tuple[KernelCertificate, list]:
         """Prove one kernel entry point; returns (certificate, findings)."""
-        extents: dict = {}
-        facts = SymbolFacts()
-        for array, expr in sorted(extent_exprs.items()):
-            aff = _parse_extent(str(expr))
-            extents[array] = aff  # None -> obligations fail closed
-            if aff is not None:
-                for sym in aff:
-                    if sym:
-                        # size symbols are nonnegative by construction
-                        facts.declare(
-                            sym, Interval(aff_const(0), None, False)
-                        )
-        obligations: list = []
-        sites: list = []
-        assumptions_used: list = []
-        for ref, worker in self._reachable_workers(entry):
-            info = ref.module
-            module_assumes = self._module_assumptions(info)
-            ctor_cache = self._ctors.setdefault(info.path, {})
-            # resolvable AtomicArray receivers self-declare extents
-            atomic_extents: dict = {}
-            for node in ast.walk(worker.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.attr in _INDEXED_ATOMIC_METHODS
-                ):
-                    recv = node.func.value.id
-                    if recv not in ctor_cache:
-                        ctor_cache[recv] = _resolve_ctor(info, recv)
-                    ctor = ctor_cache[recv]
-                    if ctor is not None and ctor.kind == "array":
-                        atomic_extents[recv] = ctor
-            obligations.extend(
-                _prove_worker(
-                    kernel,
-                    info,
-                    worker,
-                    extents,
-                    facts,
-                    module_assumes,
-                    atomic_extents,
-                    assumptions_used,
-                )
-            )
-            sites.extend(
-                _classify_sites(
-                    info, ref.qualpath, worker, ctor_cache
-                )
-            )
-        return self._certify(kernel, obligations, sites, assumptions_used)
+        extents, facts = _parse_extents(extent_exprs)
+        workers, bindings = self._reachable_workers(entry)
+        run = _Run(self, kernel, extents, facts, bindings)
+        for ref, worker in workers:
+            run.prove_worker(ref.module, ref.qualpath, worker)
+        return self._certify(
+            kernel, run.obligations, run.sites, run.used_assumptions
+        )
 
     def _certify(
         self,
@@ -1431,53 +1671,44 @@ def prove_source(
     """Prove the workers of a source string — the selftest/test entry.
 
     ``extents`` maps array/location names to extent expressions, the
-    same contract as ``KERNEL_EXTENTS`` values.
+    same contract as ``KERNEL_EXTENTS`` values.  Helpers the workers
+    call are resolved inside the source; parameters of the functions
+    that hold the workers are bound by no call site, so calling one
+    fails closed.
     """
     info = ModuleInfo("<prove>", path, source)
-    analyzer = ProveAnalyzer(ModuleIndex())
+    index = ModuleIndex()
+    index.modules[info.name] = info
+    analyzer = ProveAnalyzer(index)
     analyzer._assumptions[info.path] = _Assumptions(source)
-    extent_exprs = dict(extents or {})
-    parsed: dict = {}
-    facts = SymbolFacts()
-    for array, expr in sorted(extent_exprs.items()):
-        aff = _parse_extent(str(expr))
-        parsed[array] = aff
-        if aff is not None:
-            for sym in aff:
-                if sym:
-                    facts.declare(sym, Interval(aff_const(0), None, False))
-    obligations: list = []
-    sites: list = []
-    used: list = []
-    ctor_cache: dict = {}
-    assumes = analyzer._assumptions[info.path]
+    parsed, facts = _parse_extents(extents or {})
+    run = _Run(analyzer, kernel, parsed, facts, {})
     for worker in _find_workers(info.tree):
-        atomic_extents: dict = {}
-        for node in ast.walk(worker.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.attr in _INDEXED_ATOMIC_METHODS
-            ):
-                recv = node.func.value.id
-                if recv not in ctor_cache:
-                    ctor_cache[recv] = _resolve_ctor(info, recv)
-                if ctor_cache[recv] is not None and ctor_cache[recv].kind == "array":
-                    atomic_extents[recv] = ctor_cache[recv]
-        obligations.extend(
-            _prove_worker(
-                kernel, info, worker, parsed, facts, assumes,
-                atomic_extents, used,
-            )
-        )
-        sites.extend(_classify_sites(info, "<module>", worker, ctor_cache))
-    cert, findings = analyzer._certify(kernel, obligations, sites, used)
+        run.prove_worker(info, "<module>", worker)
+    cert, findings = analyzer._certify(
+        kernel, run.obligations, run.sites, run.used_assumptions
+    )
     report = ProveReport()
     report.certificates[kernel] = cert
     report.findings.extend(findings)
     report.findings.sort(key=lambda f: (f.path, f.line, f.key))
     return report
+
+
+def _parse_extents(extent_exprs: dict) -> tuple[dict, SymbolFacts]:
+    """Parsed extents (None where unparseable: fail closed) and the
+    non-negativity facts of their size symbols."""
+    extents: dict = {}
+    facts = SymbolFacts()
+    for array, expr in sorted(extent_exprs.items()):
+        aff = _parse_extent(str(expr))
+        extents[array] = aff
+        if aff is not None:
+            for sym in aff:
+                if sym:
+                    # size symbols are nonnegative by construction
+                    facts.declare(sym, Interval(aff_const(0), None, False))
+    return extents, facts
 
 
 # ======================================================================
@@ -1615,6 +1846,20 @@ def run_oob_fixed(pool, out, n):
     pool.parallel_for(range(n), worker, label="selftest:prove-oob")
 '''
 
+# The same one-past-the-end load moved into a helper the worker calls:
+# the prover must follow the call with ``i`` bound to the worker's item
+# domain and convict the helper's line, not certify the kernel.
+_PEEK_SOURCE = '''\
+def run_peek(pool, out, n):
+    def peek(i):
+        return out[i + 1]
+    def worker(i, ctx):
+        ctx.write(("out", int(i)))
+        out[i] = peek(i)
+    pool.parallel_for(range(n), worker, label="selftest:prove-peek")
+'''
+_PEEK_LINE = 3
+
 # A float fetch-add reduction: bitwise result depends on combining
 # order, so the kernel must be flagged SAN503 and refused a
 # determinism certificate.  The fixed variant accumulates in int64.
@@ -1637,8 +1882,9 @@ def run_float_fixed(pool, values, n):
 
 
 def prove_selftest() -> tuple[bool, str]:
-    """Plant an OOB store and a float reduction; the prover must catch
-    both with exact line attribution and certify the fixed variants."""
+    """Plant an OOB store (inline and inside a called helper) and a
+    float reduction; the prover must catch each with exact line
+    attribution and certify the fixed variants."""
     oob = prove_source(_OOB_SOURCE, path="<selftest:oob>", extents={"out": "n"})
     san501 = [f for f in oob.findings if f.code == "SAN501"]
     if len(san501) != 1:
@@ -1663,6 +1909,18 @@ def prove_selftest() -> tuple[bool, str]:
     if [f for f in fixed.findings if f.code in ("SAN501", "SAN502")]:
         return False, "fixed OOB variant has residual bounds findings"
 
+    peek = prove_source(
+        _PEEK_SOURCE, path="<selftest:peek>", extents={"out": "n"}
+    )
+    san501 = [f for f in peek.findings if f.code == "SAN501"]
+    if [f.line for f in san501] != [_PEEK_LINE]:
+        return False, (
+            f"helper OOB: expected SAN501 on line {_PEEK_LINE}, got "
+            f"{[f.line for f in san501]}"
+        )
+    if peek.certificates["<source>"].status != "violations":
+        return False, "helper OOB kernel must not certify"
+
     flt = prove_source(_FLOAT_SOURCE, path="<selftest:float>")
     san503 = [f for f in flt.findings if f.code == "SAN503"]
     if len(san503) != 1:
@@ -1682,7 +1940,7 @@ def prove_selftest() -> tuple[bool, str]:
             f"{fxcert.status!r}/{fxcert.determinism!r}"
         )
     return True, (
-        "planted OOB caught (SAN501 line "
-        f"{_OOB_LINE}), float reduction caught (SAN503 line {_FLOAT_LINE}), "
-        "fixed variants certified"
+        f"planted OOB caught (SAN501 line {_OOB_LINE}, helper line "
+        f"{_PEEK_LINE}), float reduction caught (SAN503 line "
+        f"{_FLOAT_LINE}), fixed variants certified"
     )

@@ -42,6 +42,10 @@ class EdgeIndex:
         """Edge id of ``{u, v}`` or None."""
         return self._lookup.get((u, v) if u < v else (v, u))
 
+    def vertices_of(self, eids: np.ndarray) -> np.ndarray:
+        """Distinct endpoints of the edges ``eids``, ascending."""
+        return np.unique(self.edges[eids].reshape(-1))
+
     def __len__(self) -> int:
         return int(self.edges.shape[0])
 

@@ -26,12 +26,13 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.hcd import ElementHierarchy
 from repro.graph.graph import Graph
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.scheduler import SimulatedPool
 from repro.search.result import best_finite_index
 from repro.truss.decomposition import EdgeIndex
-from repro.truss.hierarchy import TrussHierarchy, _triangle_companions
+from repro.truss.hierarchy import _triangle_companions
 
 __all__ = ["TrussSearchResult", "best_truss", "TRUSS_METRICS"]
 
@@ -63,23 +64,24 @@ class TrussSearchResult:
     best_score: float
     scores: np.ndarray
     values: np.ndarray  # (|T|, 2): accumulated (m, triangles) per node
-    hierarchy: TrussHierarchy
+    hierarchy: ElementHierarchy
 
     def best_edges(self) -> np.ndarray:
         """Edge ids of the winning community."""
         if self.best_node < 0:
             return np.empty(0, dtype=np.int64)
-        return self.hierarchy.reconstruct_truss(self.best_node)
+        return self.hierarchy.reconstruct(self.best_node)
 
     def best_vertices(self) -> np.ndarray:
         """Distinct endpoints of the winning community's edges."""
-        edges = self.hierarchy.index.edges[self.best_edges()]
-        return np.unique(edges.reshape(-1))
+        if self.best_node < 0:
+            return np.empty(0, dtype=np.int64)
+        return self.hierarchy.vertices(self.best_node)
 
 
 def best_truss(
     graph: Graph,
-    hierarchy: TrussHierarchy,
+    hierarchy: ElementHierarchy,
     trussness: np.ndarray,
     pool: SimulatedPool,
     metric: str = "average_support",
@@ -107,7 +109,7 @@ def best_truss(
     contributions = AtomicArray(t * 2, dtype=np.float64, name="truss_vals")
 
     def contribute(eid: int, ctx) -> None:
-        node = int(hierarchy.eid_node[eid])
+        node = int(hierarchy.node_of[eid])
         ctx.charge(1)
         contributions.add(ctx, node * 2, 1.0)  # one edge
         # triangles charged to the min-(trussness, id)-rank edge
@@ -132,7 +134,7 @@ def best_truss(
     # bottom-up accumulation over the truss forest
     values = contributions.data.reshape(t, 2).copy()
     order = sorted(
-        range(t), key=lambda node: -int(hierarchy.node_trussness[node])
+        range(t), key=lambda node: -int(hierarchy.level[node])
     )
     for node in order:
         pa = int(hierarchy.parent[node])
@@ -159,7 +161,7 @@ def best_truss(
     return TrussSearchResult(
         metric_name=metric,
         best_node=best,
-        best_k=int(hierarchy.node_trussness[best]),
+        best_k=int(hierarchy.level[best]),
         best_score=float(scores[best]),
         scores=scores,
         values=values,

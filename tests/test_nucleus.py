@@ -123,6 +123,88 @@ class TestNucleusDecomposition:
                 assert intact >= k
 
 
+def definitional_hierarchy(graph: Graph, index: TriangleIndex, theta):
+    """Oracle: K4-connected components of ``{theta >= k}`` per level.
+
+    Two triangles are adjacent at level ``k`` when they share a K4
+    whose four triangles all have theta >= k.  At the floor (theta = 0)
+    a shared edge also makes two triangles adjacent when at least one
+    of them has theta 0: the glue runs from floor triangles only, so
+    two higher triangles that share just an edge stay apart unless a
+    floor triangle or a K4 joins them.  Each component with
+    members of theta exactly ``k`` is one tree node; its parent is the
+    node of the component that contains it at the highest lower level
+    with such members.  Entries follow ``canonical_form``'s layout.
+    """
+    kmax = int(theta.max()) if theta.size else -1
+
+    def edge_glued(tid: int) -> list[int]:
+        corners = [int(x) for x in index.triangles[tid]]
+        out = []
+        for i in range(3):
+            for j in range(i + 1, 3):
+                u, v = corners[i], corners[j]
+                for w in graph.neighbors(u):
+                    other = index.get(u, v, int(w))
+                    if other is not None and other != tid:
+                        out.append(other)
+        return out
+
+    def neighbors(tid: int, k: int) -> list[int]:
+        out = [
+            x
+            for comp in index.k4_companions(tid)
+            if all(theta[y] >= k for y in comp)
+            for x in comp
+        ]
+        if k == 0:
+            # glue edges run from floor triangles: a floor triangle is
+            # adjacent to every triangle it shares an edge with
+            if theta[tid] == 0:
+                out += edge_glued(tid)
+            else:
+                out += [x for x in edge_glued(tid) if theta[x] == 0]
+        return out
+
+    def components(k: int) -> list[frozenset]:
+        members = set(int(x) for x in np.flatnonzero(theta >= k))
+        seen: set[int] = set()
+        comps = []
+        for start in sorted(members):
+            if start in seen:
+                continue
+            comp, stack = {start}, [start]
+            seen.add(start)
+            while stack:
+                for other in neighbors(stack.pop(), k):
+                    if other in members and other not in seen:
+                        seen.add(other)
+                        comp.add(other)
+                        stack.append(other)
+            comps.append(frozenset(comp))
+        return comps
+
+    levels = {k: components(k) for k in range(kmax, -1, -1)}
+
+    def shell(comp: frozenset, k: int) -> tuple:
+        return tuple(sorted(x for x in comp if theta[x] == k))
+
+    entries = []
+    for k, comps in levels.items():
+        for comp in comps:
+            own = shell(comp, k)
+            if not own:
+                continue
+            parent = (-1, ())
+            for lower in range(k - 1, -1, -1):
+                outer = next(c for c in levels[lower] if comp <= c)
+                if shell(outer, lower):
+                    parent = (lower, shell(outer, lower))
+                    break
+            entries.append((k, own) + parent)
+    return sorted(entries)
+
+
 class TestNucleusHierarchy:
     def test_two_k5s_two_deep_nodes(self):
         edges = list(complete_graph(5).edges())
@@ -133,9 +215,9 @@ class TestNucleusHierarchy:
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(), index=index)
         h.validate(theta)
-        deep = [i for i in range(h.num_nodes) if h.node_theta[i] == 2]
+        deep = [i for i in range(h.num_nodes) if h.level[i] == 2]
         assert len(deep) == 2
-        sides = {frozenset(h.vertices_of_nucleus(i).tolist()) for i in deep}
+        sides = {frozenset(h.vertices(i).tolist()) for i in deep}
         assert sides == {frozenset(range(5)), frozenset(range(5, 10))}
 
     def test_nested_levels(self):
@@ -147,7 +229,22 @@ class TestNucleusHierarchy:
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(threads=2), index=index)
         h.validate(theta)
-        assert int(h.node_theta.max()) >= 3
+        assert int(h.level.max()) >= 3
+
+    @pytest.mark.parametrize("threads", [1, 3, 6])
+    def test_matches_definitional_oracle(self, threads):
+        g = powerlaw_cluster(60, 4, 0.8, seed=4)
+        g = Graph.from_edges(
+            list(g.edges()) + [(60, 61), (61, 62), (60, 62), (62, 63)]
+        )
+        index = TriangleIndex(g)
+        theta = nucleus_decomposition(g, index)
+        assert int(theta.max()) >= 2 and int(theta.min()) == 0
+        h = nucleus_hierarchy(
+            g, theta, SimulatedPool(threads=threads), index=index
+        )
+        h.validate(theta)
+        assert h.canonical_form() == definitional_hierarchy(g, index, theta)
 
     @pytest.mark.parametrize("threads", [1, 3, 6])
     def test_thread_invariance(self, threads):
@@ -166,10 +263,10 @@ class TestNucleusHierarchy:
         theta = nucleus_decomposition(g, index)
         h = nucleus_hierarchy(g, theta, SimulatedPool(), index=index)
         for node in range(h.num_nodes):
-            k = int(h.node_theta[node])
-            tris = h.reconstruct_nucleus(node)
+            k = int(h.level[node])
+            tris = h.reconstruct(node)
             assert np.all(theta[tris] >= k)
-            own = h.triangles_of(node)
+            own = h.members(node)
             assert np.all(theta[own] == k)
 
     def test_empty_graph(self):

@@ -233,6 +233,92 @@ class TestProofs:
         assert any("item in [0, n)" in a for a in cert.assumptions)
 
 
+class TestHelpers:
+    """Accesses inside helpers a worker calls stay under proof."""
+
+    _PEEK = (
+        "def run_peek(pool, out, n):\n"
+        "    def peek(i):\n"
+        "        return out[{index}]\n"
+        "    def worker(i, ctx):\n"
+        "        ctx.write(('out', int(i)))\n"
+        "        out[i] = peek(i)\n"
+        "    pool.parallel_for(range(n), worker, label='peek')\n"
+    )
+
+    def test_helper_oob_is_a_violation(self):
+        report = prove_source(
+            self._PEEK.format(index="i + 1"), extents=_EDGE_EXTENTS
+        )
+        cert = report.certificates["<source>"]
+        assert cert.status == "violations"
+        assert not cert.fully_proven
+        assert "out" not in cert.proven_arrays
+        [finding] = [f for f in report.findings if f.code == "SAN501"]
+        assert finding.line == 3
+        assert "worker>peek" in finding.message
+
+    def test_inline_and_helper_convict_alike(self):
+        inline = (
+            "def run(pool, out, n):\n"
+            "    def worker(i, ctx):\n"
+            "        ctx.write(('out', int(i)))\n"
+            "        out[i] = out[i + 1]\n"
+            "    pool.parallel_for(range(n), worker, label='inline')\n"
+        )
+        report = prove_source(inline, extents=_EDGE_EXTENTS)
+        assert report.certificates["<source>"].status == "violations"
+
+    def test_in_bounds_helper_proves(self):
+        report = prove_source(
+            self._PEEK.format(index="i"), extents=_EDGE_EXTENTS
+        )
+        cert = report.certificates["<source>"]
+        assert cert.fully_proven
+        assert "load:<prove>:worker>peek:out[i]" in {
+            o.key for o in cert.obligations
+        }
+
+    def test_untraceable_callee_fails_closed(self):
+        # ``peek`` arrives as a parameter no call site binds: it may
+        # close over ``out``, so ``out`` must not count as proven
+        src = (
+            "def run(pool, out, n, peek):\n"
+            "    def worker(i, ctx):\n"
+            "        ctx.write(('out', int(i)))\n"
+            "        out[i] = peek(i)\n"
+            "    pool.parallel_for(range(n), worker, label='opaque')\n"
+        )
+        report = prove_source(src, extents=_EDGE_EXTENTS)
+        cert = report.certificates["<source>"]
+        assert cert.status == "certified"
+        assert not cert.fully_proven
+        assert cert.proven_arrays == ()
+        assert ("call:<prove>:worker:out[peek()]", "unproven") in {
+            (o.key, o.outcome) for o in cert.obligations
+        }
+
+    def test_builtins_and_library_calls_stay_transparent(self):
+        src = _single_worker(
+            "    def worker(i, ctx):\n"
+            "        for j in range(min(n, len(out))):\n"
+            "            ctx.write(('out', int(j)))\n"
+        )
+        cert = prove_source(src, extents=_EDGE_EXTENTS).certificates[
+            "<source>"
+        ]
+        assert cert.fully_proven
+
+    def test_bound_relation_is_followed_in_kernels(self):
+        # PHCD's CSR scan is a relation passed to the shared driver: its
+        # indptr reads must stay visible (unproven), not drop out
+        cert = prove_kernels(["phcd"]).certificates["phcd"]
+        keys = {o.key: o.outcome for o in cert.obligations}
+        assert keys["load:phcd.py:connect>scan:indptr[v]"] == "unproven"
+        assert keys["load:phcd.py:connect>scan:coreness[u]"] == "proven"
+        assert "indptr" not in cert.proven_arrays
+
+
 # ----------------------------------------------------------------------
 # in-tree certification + manifest
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 from repro.parallel.scheduler import SimulatedPool
 from repro.truss.decomposition import EdgeIndex, edge_supports, truss_decomposition
-from repro.truss.hierarchy import TrussHierarchy, truss_hierarchy
+from repro.truss.hierarchy import truss_hierarchy
 
 
 def nx_truss_edges(graph: Graph, k: int) -> set[tuple[int, int]]:
@@ -122,9 +122,9 @@ class TestTrussHierarchy:
         index = EdgeIndex(g)
         trussness = truss_decomposition(g, index)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=threads), index=index)
-        th.validate(g, trussness)
+        th.validate(trussness)
         mine = sorted(
-            (int(th.node_trussness[i]), frozenset(int(e) for e in th.edges_of(i)))
+            (int(th.level[i]), frozenset(int(e) for e in th.members(i)))
             for i in range(th.num_nodes)
         )
         assert mine == definitional_hierarchy(g, index, trussness)
@@ -144,10 +144,10 @@ class TestTrussHierarchy:
         trussness = truss_decomposition(g, index)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=2), index=index)
         for node in range(th.num_nodes):
-            k = int(th.node_trussness[node])
-            edges = th.reconstruct_truss(node)
+            k = int(th.level[node])
+            edges = th.reconstruct(node)
             assert np.all(trussness[edges] >= k)
-            own = th.edges_of(node)
+            own = th.members(node)
             assert np.all(trussness[own] == k)
 
     def test_two_cliques_give_two_deep_nodes(self):
@@ -157,10 +157,10 @@ class TestTrussHierarchy:
         g = Graph.from_edges(edges)
         trussness = truss_decomposition(g)
         th = truss_hierarchy(g, trussness, SimulatedPool())
-        ks = sorted(int(k) for k in th.node_trussness)
+        ks = sorted(int(k) for k in th.level)
         assert ks == [2, 5, 5]
         # both K5 nodes hang under the level-2 root
-        root = [i for i in range(3) if th.node_trussness[i] == 2][0]
+        root = [i for i in range(3) if th.level[i] == 2][0]
         assert sorted(th.children[root]) == [
             i for i in range(3) if i != root
         ]
@@ -172,8 +172,8 @@ class TestTrussHierarchy:
         g = Graph.from_edges(edges)
         trussness = truss_decomposition(g)
         th = truss_hierarchy(g, trussness, SimulatedPool(threads=2))
-        th.validate(g, trussness)
-        ks = sorted(int(k) for k in th.node_trussness)
+        th.validate(trussness)
+        ks = sorted(int(k) for k in th.level)
         assert ks[-1] == 6
         assert 3 in ks
 

@@ -22,7 +22,7 @@ def setting():
 
 
 def community_subgraph(index, hierarchy, node):
-    eids = hierarchy.reconstruct_truss(node)
+    eids = hierarchy.reconstruct(node)
     pairs = [tuple(int(x) for x in index.edges[e]) for e in eids]
     vs = sorted({x for pair in pairs for x in pair})
     remap = {v: i for i, v in enumerate(vs)}
