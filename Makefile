@@ -1,13 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster
+.PHONY: check test perfbench sanitize memcheck lint flow prove dist profile bench-sanitize bench-profile bench-flow bench-prove bench-dist serve-bench bench-dynamic bench-cluster
 
-## check: the CI gate — tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, dynamic + prove + dist + cluster benches
-check: test lint flow prove dist sanitize memcheck profile bench-dynamic bench-prove bench-dist bench-cluster
+## check: the CI gate — tests, benchmark harness tests, strict lint, flow analysis, prove + dist certification, kernel race+memcheck sweep, profiler selftest, dynamic + prove + dist + cluster benches
+check: test perfbench lint flow prove dist sanitize memcheck profile bench-dynamic bench-prove bench-dist bench-cluster
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+## perfbench: the repository benchmark's own tests (planted wrong answers, trace identity)
+perfbench:
+	$(PYTHON) -m pytest perfbench -q
 
 ## sanitize: race-check every kernel, lint src/, run the seeded selftest
 sanitize:

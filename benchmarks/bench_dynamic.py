@@ -19,6 +19,10 @@ units for each:
   threads and the resulting coreness, changed-set size, round count,
   and work-unit totals are asserted bit-identical — only the pool
   clock may move.
+* **scaling**: that clock must fall strictly from 1 to 2 to 4 to 8
+  threads — the frontier kernels split each frontier by row cost and
+  CAS each claimed vertex once, so added threads take work off the
+  critical path instead of queueing on shared cache lines.
 
 Usage::
 
@@ -217,6 +221,11 @@ def _determinism(graph, insertions, deletions) -> list[dict]:
             "batched repair diverged across thread counts — the repair "
             "must be bit-identical for any partition"
         )
+    clocks = [row["sim_clock"] for row in rows]
+    assert all(a > b for a, b in zip(clocks, clocks[1:])), (
+        f"batched repair clock must fall strictly with threads {THREADS}, "
+        f"got {clocks}"
+    )
     return rows
 
 

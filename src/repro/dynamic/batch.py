@@ -48,10 +48,33 @@ marked.  Because coreness is canonical, the result is bit-identical
 to per-edge maintenance and to full recomputation; the property tests
 check exactly that at several thread counts.
 
-Determinism across thread counts comes from the same discipline as
-the PKC kernel: exactly-once CAS claims on shared frontiers, two-phase
-(snapshot then apply) peels with per-vertex slots, per-thread output
-buffers merged and sorted between regions.
+Frontier kernels
+----------------
+The subcore BFS (``expand``) and both peels' support counts
+(``count_support``) run one contiguous range per thread over
+:meth:`~repro.parallel.scheduler.SimulatedPool.partition`, balanced by
+the cumulative ``row_len + 1`` of the frontier or active list (Liu &
+Dong's work-balanced frontier).  A split by item count hands the
+low-id hubs of a power-law graph to thread 0.  The prefix is gathered
+in its own small ``dyn_prefix`` region, so the row-length reads stay
+charged.
+
+``expand`` tests before it claims: a charged ``visited`` load comes
+first, and the CAS runs only while the slot still reads 0.  A vertex
+already claimed costs one load instead of a contended CAS, so each
+vertex is CASed exactly once and almost nothing queues on a cache
+line.  The sequential substrate runs virtual threads one after
+another, so a CAS that follows a zero load always wins; like
+``AtomicArray.fetch_min`` and ``AtomicSet.add_if_absent``, the model
+never charges a losing CAS.
+
+Support counts land in position-indexed slots (``supp[i]`` for the
+``i``-th active vertex); ``evict`` reads them back by the same
+position and writes only its own vertex's flag.  Determinism across
+thread counts follows: exactly-once claims, two-phase (snapshot then
+apply) peels, and per-thread output buffers merged and sorted between
+regions.  The claimed sets, the coreness, and the total work and
+atomics do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -157,6 +180,34 @@ def _merge_parts(parts: list[list[int]]) -> list[int]:
     return sorted(y for part in parts for y in part)
 
 
+def _row_prefix(
+    pool: SimulatedPool, row_len: np.ndarray, items: list[int], tag: str
+) -> np.ndarray:
+    """Cumulative ``row_len + 1`` over ``items``: the cost prefix the
+    frontier kernels hand to :meth:`SimulatedPool.partition`.
+
+    Gathering the row lengths is charged as its own small region (one
+    read and one position-indexed store per item); only the prefix sum
+    over the gathered costs runs on the host, like the partition's own
+    boundary search.
+    """
+    count = len(items)
+    cost = np.zeros(count, dtype=np.int64)
+
+    def gather(chunk: range, ctx) -> None:
+        start, end = chunk.start, chunk.stop
+        for i in range(start, end):
+            x = items[i]
+            ctx.read(("row_len", x))
+            ctx.write(("dyn_cost", i))
+            cost[i] = row_len[x] + 1
+
+    pool.parallel_for(pool.partition(count), gather, label=f"dyn_prefix:{tag}")
+    prefix = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(cost, out=prefix[1:])
+    return prefix
+
+
 def _collect_subcore(
     pool: SimulatedPool,
     indptr: np.ndarray,
@@ -172,9 +223,12 @@ def _collect_subcore(
     vertices of coreness ``> k`` — they glue subcore fragments of the
     same k-core together, exactly like the per-edge bridge walk).
 
-    One BFS claims the whole ``>= k`` reachable region through an
-    exactly-once CAS per vertex, so the claimed set — and the total
-    work — is independent of how the pool partitions each frontier.
+    One BFS claims the whole ``>= k`` reachable region.  A scanned
+    neighbor is tested with a charged load first and CASed only while
+    its slot is still 0, so each vertex is CASed exactly once and the
+    claimed set, the total work and the atomics are independent of how
+    the pool splits each frontier.  Frontiers are split into one range
+    per thread by row cost.
     """
     n = coreness.size
     visited = AtomicArray(n, name="visited")
@@ -194,21 +248,97 @@ def _collect_subcore(
         members.extend(x for x in frontier if int(coreness[x]) == k)
         next_parts: list[list[int]] = [[] for _ in range(nthreads)]
 
-        def expand(x, ctx) -> None:
-            xi = int(x)
-            ctx.read(("row_len", xi))
-            base = int(indptr[xi])
-            deg = int(row_len[xi])
-            for j in range(deg):
-                y = int(indices[base + j])
-                ctx.read(("coreness", y))
-                if int(coreness[y]) >= k:
-                    if visited.compare_and_swap(ctx, y, 0, 1):
-                        next_parts[ctx.thread_id].append(y)
+        def expand(chunk: range, ctx) -> None:
+            start, end = chunk.start, chunk.stop
+            for i in range(start, end):
+                x = frontier[i]
+                ctx.read(("row_len", x))
+                base = int(indptr[x])
+                deg = int(row_len[x])
+                for j in range(deg):
+                    y = int(indices[base + j])
+                    ctx.read(("coreness", y))
+                    if int(coreness[y]) >= k and visited.load(ctx, y) == 0:
+                        if visited.compare_and_swap(ctx, y, 0, 1):
+                            next_parts[ctx.thread_id].append(y)
 
-        pool.parallel_for(frontier, expand, label=f"dyn_expand:{tag}")
+        prefix = _row_prefix(pool, row_len, frontier, tag)
+        pool.parallel_for(
+            pool.partition(len(frontier), prefix),
+            expand,
+            label=f"dyn_expand:{tag}",
+        )
         frontier = _merge_parts(next_parts)
     return sorted(members)
+
+
+def _peel(
+    pool: SimulatedPool,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    row_len: np.ndarray,
+    coreness: np.ndarray,
+    cand: list[int],
+    k: int,
+    need: int,
+    alive: np.ndarray,
+    tag: str,
+) -> list[int]:
+    """Localized peel over ``cand``; returns the sorted survivors.
+
+    A candidate survives while it keeps ``>= need`` supporters:
+    neighbors of coreness ``> k``, or with their ``alive`` flag set.
+    Evicted candidates clear their flag.  Two-phase per round: support
+    counted into position-indexed slots against a frozen ``alive``
+    snapshot, then evictions applied to disjoint vertex slots —
+    bit-identical at any thread count.  Coreness is not written here.
+    """
+    active = sorted(cand)
+    nthreads = pool.threads
+    while active:
+        supp = np.zeros(len(active), dtype=np.int64)
+
+        def count_support(chunk: range, ctx) -> None:
+            start, end = chunk.start, chunk.stop
+            for i in range(start, end):
+                x = active[i]
+                ctx.read(("row_len", x))
+                base = int(indptr[x])
+                deg = int(row_len[x])
+                s = 0
+                for j in range(deg):
+                    y = int(indices[base + j])
+                    ctx.read(("coreness", y))
+                    ctx.read(("alive", y))
+                    if int(coreness[y]) > k or alive[y]:
+                        s += 1
+                ctx.write(("supp", i))
+                supp[i] = s
+
+        prefix = _row_prefix(pool, row_len, active, tag)
+        pool.parallel_for(
+            pool.partition(len(active), prefix),
+            count_support,
+            label=f"dyn_support:{tag}",
+        )
+        out_parts: list[list[int]] = [[] for _ in range(nthreads)]
+
+        def evict(slot, ctx) -> None:
+            i = slot[0]
+            xi = slot[1]
+            ctx.read(("supp", i))
+            if int(supp[i]) < need:
+                ctx.write(("alive", xi))
+                alive[xi] = 0
+                out_parts[ctx.thread_id].append(xi)
+
+        pool.parallel_for(
+            list(enumerate(active)), evict, label=f"dyn_evict:{tag}"
+        )
+        if not any(out_parts):
+            break
+        active = [x for x in active if alive[x]]
+    return active
 
 
 def _peel_promote(
@@ -221,55 +351,14 @@ def _peel_promote(
     k: int,
     tag: str,
 ) -> list[int]:
-    """Localized promote peel at level ``k + 1`` over ``cand``.
-
-    A candidate survives while it keeps ``> k`` neighbors among the
-    surviving candidates and the vertices of coreness ``> k``.
-    Returns the sorted survivors (their coreness is *not* written
-    here).  Two-phase per round: support counted into per-vertex slots
-    against a frozen ``alive`` snapshot, then evictions applied to
-    disjoint slots — bit-identical at any thread count.
-    """
-    n = coreness.size
-    alive = np.zeros(n, dtype=np.int64)
-    supp = np.zeros(n, dtype=np.int64)
-    alive_list = sorted(cand)
-    for x in alive_list:
-        alive[x] = 1
-    nthreads = pool.threads
-    while alive_list:
-
-        def count_support(x, ctx) -> None:
-            xi = int(x)
-            ctx.read(("row_len", xi))
-            base = int(indptr[xi])
-            deg = int(row_len[xi])
-            s = 0
-            for j in range(deg):
-                y = int(indices[base + j])
-                ctx.read(("coreness", y))
-                ctx.read(("alive", y))
-                if int(coreness[y]) > k or alive[y]:
-                    s += 1
-            ctx.write(("supp", xi))
-            supp[xi] = s
-
-        pool.parallel_for(alive_list, count_support, label=f"dyn_support:{tag}")
-        out_parts: list[list[int]] = [[] for _ in range(nthreads)]
-
-        def evict(x, ctx) -> None:
-            xi = int(x)
-            ctx.read(("supp", xi))
-            if int(supp[xi]) <= k:
-                ctx.write(("alive", xi))
-                alive[xi] = 0
-                out_parts[ctx.thread_id].append(xi)
-
-        pool.parallel_for(alive_list, evict, label=f"dyn_evict:{tag}")
-        if not any(out_parts):
-            break
-        alive_list = [x for x in alive_list if alive[x]]
-    return alive_list
+    """Promote peel at level ``k + 1`` over ``cand``: a candidate
+    survives with ``> k`` supporters among the surviving candidates and
+    the vertices of coreness ``> k``.  Returns the sorted survivors."""
+    alive = np.zeros(coreness.size, dtype=np.int64)
+    alive[cand] = 1
+    return _peel(
+        pool, indptr, indices, row_len, coreness, cand, k, k + 1, alive, tag
+    )
 
 
 def _peel_demote(
@@ -282,56 +371,15 @@ def _peel_demote(
     k: int,
     tag: str,
 ) -> list[int]:
-    """Localized demote peel at level ``k`` over ``cand``.
-
-    A vertex keeps level ``k`` while it has ``>= k`` supporters of
-    effective level ``>= k`` (coreness ``> k``, or coreness ``k`` and
-    not yet dropped).  Returns the sorted dropped vertices (coreness
-    not written here).  Same two-phase snapshot discipline as the
-    promote peel.
-    """
-    n = coreness.size
-    dropped = np.zeros(n, dtype=np.int64)
-    supp = np.zeros(n, dtype=np.int64)
-    active = sorted(cand)
-    all_dropped: list[int] = []
-    nthreads = pool.threads
-    while active:
-
-        def count_support(x, ctx) -> None:
-            xi = int(x)
-            ctx.read(("row_len", xi))
-            base = int(indptr[xi])
-            deg = int(row_len[xi])
-            s = 0
-            for j in range(deg):
-                y = int(indices[base + j])
-                ctx.read(("coreness", y))
-                ctx.read(("dropped", y))
-                cy = int(coreness[y])
-                if cy > k or (cy == k and not dropped[y]):
-                    s += 1
-            ctx.write(("supp", xi))
-            supp[xi] = s
-
-        pool.parallel_for(active, count_support, label=f"dyn_support:{tag}")
-        out_parts: list[list[int]] = [[] for _ in range(nthreads)]
-
-        def evict(x, ctx) -> None:
-            xi = int(x)
-            ctx.read(("supp", xi))
-            if int(supp[xi]) < k:
-                ctx.write(("dropped", xi))
-                dropped[xi] = 1
-                out_parts[ctx.thread_id].append(xi)
-
-        pool.parallel_for(active, evict, label=f"dyn_evict:{tag}")
-        evicted = _merge_parts(out_parts)
-        if not evicted:
-            break
-        all_dropped.extend(evicted)
-        active = [x for x in active if not dropped[x]]
-    return sorted(all_dropped)
+    """Demote peel at level ``k`` over ``cand``: a vertex keeps level
+    ``k`` while it has ``>= k`` supporters of effective level ``>= k``
+    (coreness ``> k``, or coreness ``k`` and not yet dropped).  Returns
+    the sorted dropped vertices."""
+    alive = (coreness == k).astype(np.int64)
+    survivors = set(
+        _peel(pool, indptr, indices, row_len, coreness, cand, k, k, alive, tag)
+    )
+    return [x for x in sorted(cand) if x not in survivors]
 
 
 def _apply_level(

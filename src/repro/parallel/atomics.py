@@ -119,7 +119,14 @@ class AtomicArray:
     def compare_and_swap(
         self, ctx: ThreadContext, index: int, expected, value
     ) -> bool:
-        """CAS: write ``value`` iff the slot holds ``expected``."""
+        """CAS: write ``value`` iff the slot holds ``expected``.
+
+        A failing CAS is charged like a winning one.  Virtual threads
+        run one after another, so a CAS issued only after a :meth:`load`
+        returned ``expected`` always wins: test-then-CAS kernels never
+        pay for a losing CAS or its retry (the same assumption as
+        :meth:`fetch_min` and :meth:`AtomicSet.add_if_absent`).
+        """
         ctx.atomic(self._key(index), word=self._word(index))
         if self.data[index] == expected:
             self.data[index] = value

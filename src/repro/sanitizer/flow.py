@@ -55,7 +55,11 @@ call graph from the kernel body to every reachable ``parallel_for``
 worker and infers the kernel's effect sets — captured containers read
 and written, plus names synchronized through atomics (``Atomic*``
 receivers called with ``ctx`` and constant ``ctx.atomic`` location
-tags).  The inferred signature is checked against the declared
+tags).  Helpers a worker calls count too: a bare-name call is followed
+into every definition it may reach, through the same call-site
+bindings SimProve uses, and a helper parameter stands for the
+container passed to it.  An untraceable callee ``f`` fails closed:
+``f()`` joins both the reads and the writes.  The inferred signature is checked against the declared
 :data:`~repro.sanitizer.kernels.KERNEL_EFFECTS`:
 
 ========  ========  ====================================================
@@ -77,6 +81,7 @@ on that line, same as the SAN1xx–3xx lint.
 from __future__ import annotations
 
 import ast
+import builtins
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,8 +126,10 @@ REGION_ATTRS = frozenset({"parallel_for", "serial_region"})
 #: Committed drift baseline shipped with the package.
 DEFAULT_BASELINE_PATH = Path(__file__).with_name("flow_baseline.json")
 
-#: Interprocedural recursion bound (call chains deeper than this are
-#: assumed sync-free; the repo's worker->helper chains are depth <= 2).
+#: Interprocedural recursion bound.  Call chains deeper than this are
+#: assumed sync-free by the divergence analysis; effect inference and
+#: SimProve fail closed on them instead.  The repo's worker->helper
+#: chains are depth <= 2.
 MAX_CALL_DEPTH = 4
 
 
@@ -335,6 +342,124 @@ def default_index() -> ModuleIndex:
     src_root = Path(__file__).resolve().parents[2]
     index.add_tree(src_root / "repro")
     return index
+
+
+# ======================================================================
+# call bindings: which functions a called name may hold
+# ======================================================================
+
+
+def _param_names(fn: ast.AST) -> list:
+    a = fn.args
+    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+
+
+def _passed(fn: ast.AST, call: ast.Call) -> dict | None:
+    """Parameter -> argument expression at ``call``; None when
+    ``*args``/``**kwargs`` hide the mapping."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        kw.arg is None for kw in call.keywords
+    ):
+        return None
+    positional = [p.arg for p in fn.args.posonlyargs + fn.args.args]
+    out = dict(zip(positional, call.args))
+    out.update((kw.arg, kw.value) for kw in call.keywords)
+    return out
+
+
+@dataclass
+class _Binding:
+    """The functions a called name may hold.
+
+    ``refs`` maps qualname -> :class:`FunctionRef` for every resolvable
+    definition; ``opaque`` marks that it may also hold a function value
+    the analysis cannot trace, which may close over any array.  Builtins,
+    classes and functions outside the analysed tree bind to nothing:
+    like attribute calls, they are trusted.
+    """
+
+    refs: dict = field(default_factory=dict)
+    opaque: bool = False
+
+    def merge(self, other: "_Binding") -> bool:
+        before = (len(self.refs), self.opaque)
+        self.refs.update(other.refs)
+        self.opaque |= other.opaque
+        return before != (len(self.refs), self.opaque)
+
+
+def _bound(expr: ast.AST | None, resolve) -> _Binding:
+    """What an argument (or default) expression passes as a function."""
+    if expr is None or (isinstance(expr, ast.Constant) and expr.value is None):
+        return _Binding()
+    if isinstance(expr, ast.Name):
+        return resolve(expr.id)
+    return _Binding(opaque=True)
+
+
+def _param_bindings(fn: ast.AST, call: ast.Call, resolve) -> dict:
+    """Parameter -> :class:`_Binding` of ``fn`` called at ``call``: the
+    argument passed, else the default; all untraceable when
+    ``*args``/``**kwargs`` hide the mapping."""
+    passed = _passed(fn, call)
+    if passed is None:
+        return {p: _Binding(opaque=True) for p in _param_names(fn)}
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+    defaults.update(
+        (p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+    )
+    return {
+        p: _bound(passed.get(p, defaults.get(p)), resolve)
+        for p in _param_names(fn)
+    }
+
+
+def _resolve_callable(
+    index: ModuleIndex,
+    bindings: dict,
+    info: ModuleInfo,
+    scope: tuple,
+    name: str,
+    local: dict,
+) -> _Binding:
+    """What ``name`` called inside ``scope`` (a dotted function path in
+    ``info``) may be: the call-site ``local`` bindings of a helper's own
+    parameters, nested or module-level defs innermost-out, the
+    reachable call sites' bindings of an enclosing function's
+    parameter, then imports."""
+    if name in local:
+        return local[name]
+    for depth in range(len(scope), -1, -1):
+        prefix = ".".join(scope[:depth])
+        qual = f"{prefix}.{name}" if prefix else name
+        node = info.functions.get(qual)
+        if node is not None:
+            return _Binding({f"{info.name}.{qual}": FunctionRef(info, qual, node)})
+        fn = info.functions.get(prefix) if depth else None
+        if fn is None:
+            continue
+        if name in _param_names(fn):
+            return bindings.get(f"{info.name}.{prefix}", {}).get(
+                name, _Binding(opaque=True)
+            )
+        if name in _assigned_names(fn):
+            return _Binding(opaque=True)
+    target = info.imports.get(name)
+    if target is not None and target[1] is not None:
+        ref = index.get_function(target[0], target[1])
+        return _Binding({ref.qualname: ref}) if ref else _Binding()
+    if name in _BUILTINS or any(
+        isinstance(n, ast.ClassDef) and n.name == name for n in info.tree.body
+    ):
+        return _Binding()
+    return _Binding(opaque=True)
+
+
+#: Names every module sees without an import (``int``, ``len``, ...).
+_BUILTINS = frozenset(dir(builtins))
 
 
 # ======================================================================
@@ -1230,10 +1355,22 @@ class FlowAnalyzer:
             out[name] = self._effects_from(ref)
         return out
 
-    def _effects_from(self, entry: FunctionRef) -> EffectSignature:
-        reads: set[str] = set()
-        writes: set[str] = set()
-        atomics: set[str] = set()
+    def reachable_workers(
+        self, entry: FunctionRef
+    ) -> tuple[list[tuple[FunctionRef, _WorkerInfo]], dict]:
+        """(enclosing function, worker) pairs reachable from ``entry``
+        through the in-repo call graph — the universe both effect
+        inference and SimProve's certificates cover — plus the
+        parameter bindings of every function reached:
+        qualname -> {param: :class:`_Binding`}, the functions each
+        parameter may hold across all reachable call sites.  A function
+        passed as an argument counts as reachable too."""
+        out: list = []
+        bindings: dict = {
+            entry.qualname: {
+                p: _Binding(opaque=True) for p in _param_names(entry.node)
+            }
+        }
         visited: set[str] = set()
         seen_workers: set[int] = set()
         queue: list[FunctionRef] = [entry]
@@ -1247,16 +1384,140 @@ class FlowAnalyzer:
                 if id(worker.node) in seen_workers:
                     continue
                 seen_workers.add(id(worker.node))
-                r, w, a = _worker_effects(worker)
-                reads |= r
-                writes |= w
-                atomics |= a
+                out.append((ref, worker))
+
+            def resolve(name: str) -> _Binding:
+                return _resolve_callable(
+                    self.index, bindings, ref.module, scope, name, {}
+                )
+
             for call in ast.walk(ref.node):
                 if not isinstance(call, ast.Call):
                     continue
                 target = self.index.resolve_call(ref.module, scope, call)
-                if target is not None and target.qualname not in visited:
-                    queue.append(target)
+                if target is None:
+                    continue
+                table = bindings.setdefault(target.qualname, {})
+                changed = False
+                for param, bound in _param_bindings(
+                    target.node, call, resolve
+                ).items():
+                    changed |= table.setdefault(param, _Binding()).merge(bound)
+                    queue.extend(bound.refs.values())
+                if changed:
+                    visited.discard(target.qualname)
+                queue.append(target)
+        return out, bindings
+
+
+    def _effects_from(self, entry: FunctionRef) -> EffectSignature:
+        """Effects of every worker reachable from ``entry``, helpers
+        included.  A bare-name call inside a worker is followed into
+        every definition it may reach, with the call-site bindings;
+        a helper's parameter stands for the captured container passed
+        to it.  An untraceable callee ``f`` (unbound parameter,
+        function stored in a variable, recursion, nesting past
+        :data:`MAX_CALL_DEPTH`) may touch anything, so ``f()`` joins
+        both the reads and the writes: the declaration has to name it.
+        """
+        workers, bindings = self.reachable_workers(entry)
+        effects: tuple[set[str], set[str], set[str]] = (set(), set(), set())
+        done: set = set()
+
+        def visit(
+            info: ModuleInfo,
+            worker: _WorkerInfo,
+            scope: tuple[str, ...],
+            local: dict,
+            alias: dict | None,
+            chain: tuple,
+        ) -> None:
+            """Add one worker's, or called helper's, effects.  ``alias``
+            is ``None`` for a worker; for a helper it maps each parameter
+            to the caller's container it stands for, or ``None`` when the
+            argument is a caller local or an expression."""
+            key = (id(worker.node), tuple(sorted((alias or {}).items())))
+            if key in done:
+                return
+            done.add(key)
+            body = worker.node.body
+            body = body if isinstance(body, list) else [body]
+            locals_: set[str] = set()
+            for stmt in body:
+                locals_ |= _assigned_names(stmt)
+            params = {p for p in (worker.item, worker.ctx) if p}
+
+            def visible(name: str | None) -> str | None:
+                """The kernel-level container ``name`` stands for."""
+                if name is None or name in params or name in locals_:
+                    return None
+                if alias is not None and name in alias:
+                    return alias[name]
+                return None if name in SAFE_BUILTINS else name
+
+            for found, out in zip(_worker_effects(worker), effects):
+                out.update(v for v in map(visible, found) if v is not None)
+
+            def resolve(name: str) -> _Binding:
+                return _resolve_callable(
+                    self.index, bindings, info, scope, name, local
+                )
+
+            for stmt in body:
+                for call in ast.walk(stmt):
+                    if not (
+                        isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                    ):
+                        continue
+                    binding = resolve(call.func.id)
+                    opaque = binding.opaque
+                    for ref in binding.refs.values():
+                        fn = ref.node
+                        passed = _passed(fn, call)
+                        if (
+                            passed is None
+                            or len(chain) > MAX_CALL_DEPTH
+                            or id(fn) in chain
+                        ):
+                            opaque = True
+                            continue
+                        ctx = next(
+                            (
+                                p for p, arg in passed.items()
+                                if isinstance(arg, ast.Name)
+                                and arg.id == worker.ctx
+                            ),
+                            None,
+                        )
+                        visit(
+                            ref.module,
+                            _WorkerInfo(fn, None, ctx, call.lineno, None),
+                            tuple(ref.qualpath.split(".")),
+                            _param_bindings(fn, call, resolve),
+                            {
+                                p: visible(_base_name(passed[p]))
+                                if p in passed
+                                else None
+                                for p in _param_names(fn)
+                            },
+                            chain + (id(fn),),
+                        )
+                    if opaque:
+                        effects[0].add(f"{call.func.id}()")
+                        effects[1].add(f"{call.func.id}()")
+
+        for ref, worker in workers:
+            info = ref.module
+            lexical = next(
+                (q for q, fn in info.functions.items() if fn is worker.node),
+                ref.qualpath,
+            )
+            visit(
+                info, worker, tuple(lexical.split(".")), {}, None,
+                (id(worker.node),),
+            )
+        reads, writes, atomics = effects
         return EffectSignature(
             reads=tuple(sorted(reads)),
             writes=tuple(sorted(writes)),

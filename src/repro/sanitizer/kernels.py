@@ -303,7 +303,10 @@ KERNELS: dict[str, object] = {
 #: call graph and reports drift as SAN404 (undeclared effect, error)
 #: / SAN405 (stale declaration, warning); update this table — or
 #: baseline the drift with a reason — when a kernel's parallel
-#: footprint legitimately changes.
+#: footprint legitimately changes.  Helpers a worker calls count as
+#: part of it.  A name ending in ``()`` is an untraceable callee (pbks's
+#: user-registered ``metric``): SimFlow cannot see what it touches, so
+#: the declaration has to name the call itself.
 KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     "pkc": {
         "reads": ("indices", "indptr", "next_parts", "settled"),
@@ -393,6 +396,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "level",
             "lt",
             "members",
+            "metric()",
             "next_parts",
             "node_seg",
             "offsets",
@@ -414,6 +418,7 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
             "eq",
             "gt",
             "hcd_parent",
+            "metric()",
             "next_parts",
             "pbks_scores",
             "pbks_seg",
@@ -485,11 +490,13 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
     },
     "dynamic_batch": {
         "reads": (
+            "active",
             "alive",
             "coreness",
-            "dropped",
+            "frontier",
             "indices",
             "indptr",
+            "items",
             "next_parts",
             "out_parts",
             "row_len",
@@ -499,7 +506,8 @@ KERNEL_EFFECTS: dict[str, dict[str, tuple[str, ...]]] = {
         "writes": (
             "alive",
             "coreness",
-            "dropped",
+            "cost",
+            "dyn_cost",
             "next_parts",
             "out_parts",
             "seed_parts",

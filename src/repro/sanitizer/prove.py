@@ -52,7 +52,6 @@ every other SAN family.
 from __future__ import annotations
 
 import ast
-import builtins
 import json
 import re
 from dataclasses import dataclass, field
@@ -60,12 +59,17 @@ from pathlib import Path
 
 from repro.sanitizer.cfg import CFG, build_cfg
 from repro.sanitizer.flow import (
+    MAX_CALL_DEPTH,
     FlowAnalyzer,
     FunctionRef,
     ModuleIndex,
     ModuleInfo,
     default_index,
-    _find_workers_in,
+    _Binding,
+    _param_bindings,
+    _param_names,
+    _passed,
+    _resolve_callable,
 )
 from repro.sanitizer.intervals import (
     Affine,
@@ -81,7 +85,6 @@ from repro.sanitizer.intervals import (
 )
 from repro.sanitizer.lint import (
     LintFinding,
-    _assigned_names,
     _find_workers,
     _is_chunk_unpack,
     _WorkerInfo,
@@ -1084,121 +1087,6 @@ def _atomic_extents(info: ModuleInfo, node: ast.AST, ctor_cache: dict) -> dict:
     return out
 
 
-def _param_names(fn: ast.AST) -> list:
-    a = fn.args
-    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
-    return names + [p.arg for p in (a.vararg, a.kwarg) if p is not None]
-
-
-def _passed(fn: ast.AST, call: ast.Call) -> dict | None:
-    """Parameter -> argument expression at ``call``; None when
-    ``*args``/``**kwargs`` hide the mapping."""
-    if any(isinstance(a, ast.Starred) for a in call.args) or any(
-        kw.arg is None for kw in call.keywords
-    ):
-        return None
-    positional = [p.arg for p in fn.args.posonlyargs + fn.args.args]
-    out = dict(zip(positional, call.args))
-    out.update((kw.arg, kw.value) for kw in call.keywords)
-    return out
-
-
-@dataclass
-class _Binding:
-    """The functions a called name may hold.
-
-    ``refs`` maps qualname -> :class:`FunctionRef` for every resolvable
-    definition; ``opaque`` marks that it may also hold a function value
-    the prover cannot trace, which may close over any array.  Builtins,
-    classes and functions outside the analysed tree bind to nothing:
-    like attribute calls, they are trusted.
-    """
-
-    refs: dict = field(default_factory=dict)
-    opaque: bool = False
-
-    def merge(self, other: "_Binding") -> bool:
-        before = (len(self.refs), self.opaque)
-        self.refs.update(other.refs)
-        self.opaque |= other.opaque
-        return before != (len(self.refs), self.opaque)
-
-
-def _bound(expr: ast.AST | None, resolve) -> _Binding:
-    """What an argument (or default) expression passes as a function."""
-    if expr is None or (isinstance(expr, ast.Constant) and expr.value is None):
-        return _Binding()
-    if isinstance(expr, ast.Name):
-        return resolve(expr.id)
-    return _Binding(opaque=True)
-
-
-def _param_bindings(fn: ast.AST, call: ast.Call, resolve) -> dict:
-    """Parameter -> :class:`_Binding` of ``fn`` called at ``call``: the
-    argument passed, else the default; all untraceable when
-    ``*args``/``**kwargs`` hide the mapping."""
-    passed = _passed(fn, call)
-    if passed is None:
-        return {p: _Binding(opaque=True) for p in _param_names(fn)}
-    a = fn.args
-    positional = [p.arg for p in a.posonlyargs + a.args]
-    defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
-    defaults.update(
-        (p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
-    )
-    return {
-        p: _bound(passed.get(p, defaults.get(p)), resolve)
-        for p in _param_names(fn)
-    }
-
-
-def _resolve_callable(
-    index: ModuleIndex,
-    bindings: dict,
-    info: ModuleInfo,
-    scope: tuple,
-    name: str,
-    local: dict,
-) -> _Binding:
-    """What ``name`` called inside ``scope`` (a dotted function path in
-    ``info``) may be: the call-site ``local`` bindings of a helper's own
-    parameters, nested or module-level defs innermost-out, the
-    reachable call sites' bindings of an enclosing function's
-    parameter, then imports."""
-    if name in local:
-        return local[name]
-    for depth in range(len(scope), -1, -1):
-        prefix = ".".join(scope[:depth])
-        qual = f"{prefix}.{name}" if prefix else name
-        node = info.functions.get(qual)
-        if node is not None:
-            return _Binding({f"{info.name}.{qual}": FunctionRef(info, qual, node)})
-        fn = info.functions.get(prefix) if depth else None
-        if fn is None:
-            continue
-        if name in _param_names(fn):
-            return bindings.get(f"{info.name}.{prefix}", {}).get(
-                name, _Binding(opaque=True)
-            )
-        if name in _assigned_names(fn):
-            return _Binding(opaque=True)
-    target = info.imports.get(name)
-    if target is not None and target[1] is not None:
-        ref = index.get_function(target[0], target[1])
-        return _Binding({ref.qualname: ref}) if ref else _Binding()
-    if name in _BUILTINS or any(
-        isinstance(n, ast.ClassDef) and n.name == name for n in info.tree.body
-    ):
-        return _Binding()
-    return _Binding(opaque=True)
-
-
-#: Names every module sees without an import (``int``, ``len``, ...).
-_BUILTINS = frozenset(dir(builtins))
-#: Helper nesting followed below a worker before failing closed.
-_MAX_CALL_DEPTH = 4
-
-
 class _Run:
     """One certification run: shared inputs and the collected output."""
 
@@ -1312,7 +1200,7 @@ class _Body:
         binding = self.resolve(name)
         opaque = binding.opaque
         for ref in binding.refs.values():
-            if len(self.chain) > _MAX_CALL_DEPTH or id(ref.node) in self.chain:
+            if len(self.chain) > MAX_CALL_DEPTH or id(ref.node) in self.chain:
                 opaque = True
                 continue
             self._prove_callee(collector, node, ref)
@@ -1450,60 +1338,6 @@ class ProveAnalyzer:
             self._assumptions[info.path] = _Assumptions(source)
         return self._assumptions[info.path]
 
-    def _reachable_workers(
-        self, entry: FunctionRef
-    ) -> tuple[list[tuple[FunctionRef, _WorkerInfo]], dict]:
-        """(enclosing function, worker) pairs reachable from ``entry``
-        through the in-repo call graph — same BFS as SimFlow's effect
-        inference, so certificates cover exactly the declared universe
-        — plus the parameter bindings of every function reached:
-        qualname -> {param: :class:`_Binding`}, the functions each
-        parameter may hold across all reachable call sites.  A function
-        passed as an argument counts as reachable too."""
-        out: list = []
-        bindings: dict = {
-            entry.qualname: {
-                p: _Binding(opaque=True) for p in _param_names(entry.node)
-            }
-        }
-        visited: set[str] = set()
-        seen_workers: set[int] = set()
-        queue: list[FunctionRef] = [entry]
-        while queue:
-            ref = queue.pop()
-            if ref.qualname in visited:
-                continue
-            visited.add(ref.qualname)
-            scope = tuple(ref.qualpath.split("."))
-            for worker in _find_workers_in(ref.node):
-                if id(worker.node) in seen_workers:
-                    continue
-                seen_workers.add(id(worker.node))
-                out.append((ref, worker))
-
-            def resolve(name: str) -> _Binding:
-                return _resolve_callable(
-                    self.index, bindings, ref.module, scope, name, {}
-                )
-
-            for call in ast.walk(ref.node):
-                if not isinstance(call, ast.Call):
-                    continue
-                target = self.index.resolve_call(ref.module, scope, call)
-                if target is None:
-                    continue
-                table = bindings.setdefault(target.qualname, {})
-                changed = False
-                for param, bound in _param_bindings(
-                    target.node, call, resolve
-                ).items():
-                    changed |= table.setdefault(param, _Binding()).merge(bound)
-                    queue.extend(bound.refs.values())
-                if changed:
-                    visited.discard(target.qualname)
-                queue.append(target)
-        return out, bindings
-
     # ------------------------------------------------------------------
 
     def prove_entry(
@@ -1514,7 +1348,7 @@ class ProveAnalyzer:
     ) -> tuple[KernelCertificate, list]:
         """Prove one kernel entry point; returns (certificate, findings)."""
         extents, facts = _parse_extents(extent_exprs)
-        workers, bindings = self._reachable_workers(entry)
+        workers, bindings = self._flow.reachable_workers(entry)
         run = _Run(self, kernel, extents, facts, bindings)
         for ref, worker in workers:
             run.prove_worker(ref.module, ref.qualpath, worker)

@@ -16,6 +16,7 @@ from repro.dynamic import DynamicCSR, DynamicGraph, batch_repair, normalize_batc
 from repro.errors import GraphBuildError
 from repro.graph.generators import erdos_renyi, powerlaw_cluster
 from repro.graph.graph import Graph
+from repro.parallel.context import EV_ATOMIC_WRITE
 from repro.parallel.scheduler import SimulatedPool
 
 THREADS = [1, 2, 4, 8]
@@ -272,6 +273,156 @@ class TestApplyBatch:
         assert np.array_equal(coreness, core_decomposition(acsr.to_csr()))
         for v in changed:
             assert 0 <= v < 80
+
+
+# ----------------------------------------------------------------------
+# frontier kernels: test-then-CAS claims, cost-balanced ranges
+# ----------------------------------------------------------------------
+
+
+def hub_graph(leaves: int = 600, clique: int = 24) -> Graph:
+    """A wheel (hub 0 joined to a ring of leaves) whose hub also sits in
+    a clique: one row holds almost every edge."""
+    ring = list(range(clique + 1, clique + 1 + leaves))
+    edges = [(0, v) for v in range(1, clique + 1 + leaves)]
+    edges += [(ring[i], ring[(i + 1) % leaves]) for i in range(leaves)]
+    edges += [
+        (u, v) for u in range(1, clique + 1) for v in range(u + 1, clique + 1)
+    ]
+    return Graph.from_edges(edges)
+
+
+def mixed_batch(graph: Graph, count: int, seed: int):
+    """``count`` strided deletions plus ``count`` random absent edges."""
+    present = sorted(edge_set(graph))
+    deletions = present[:: max(1, len(present) // count)][:count]
+    taken = set(present)
+    rng = np.random.default_rng(seed)
+    insertions = []
+    while len(insertions) < count:
+        u, v = sorted(rng.integers(0, graph.num_vertices, 2).tolist())
+        if u != v and (u, v) not in taken:
+            taken.add((u, v))
+            insertions.append((u, v))
+    return insertions, deletions
+
+
+class _AtomicLog:
+    """Observer keeping, per region, each thread's work and the word
+    keys of its atomic writes."""
+
+    def __init__(self) -> None:
+        self.threads: list[list[tuple[float, list]]] = []
+
+    def on_region_begin(self, label, contexts) -> None:
+        for ctx in contexts:
+            ctx.begin_recording()
+
+    def on_region_end(self, label, contexts) -> None:
+        self.threads.append(
+            [
+                (
+                    ctx.work,
+                    [
+                        loc
+                        for kind, loc in ctx.end_recording()
+                        if kind == EV_ATOMIC_WRITE
+                    ],
+                )
+                for ctx in contexts
+            ]
+        )
+
+
+FRONTIER_THREADS = [1, 2, 4, 8, 16]
+FRONTIER_GRAPHS = {
+    "powerlaw_cluster": lambda: powerlaw_cluster(2000, 4, 0.5, seed=3),
+    "hub": hub_graph,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FRONTIER_GRAPHS))
+def frontier_runs(request):
+    """Batched repair of one graph at every width: (graph, runs), each
+    run ``(coreness, report, pool, atomic log)``."""
+    graph = FRONTIER_GRAPHS[request.param]()
+    insertions, deletions = mixed_batch(graph, 40, seed=9)
+    runs = {}
+    for threads in FRONTIER_THREADS:
+        dyn = DynamicGraph(graph)
+        pool = SimulatedPool(threads=threads)
+        log = _AtomicLog()
+        pool.set_observer(log)
+        report = dyn.apply_batch(
+            insertions=insertions, deletions=deletions, pool=pool
+        )
+        pool.set_observer(None)
+        assert len(log.threads) == len(pool.regions)
+        runs[threads] = (dyn.coreness.copy(), report, pool, log)
+    recomputed = recompute(dyn)
+    return dyn, recomputed, runs
+
+
+class TestFrontierKernels:
+    def test_results_identical_at_every_width(self, frontier_runs):
+        _, recomputed, runs = frontier_runs
+        base_core, base_report, _, _ = runs[1]
+        assert np.array_equal(base_core, recomputed)
+        assert base_report.changed > 0
+        for core, report, _, _ in runs.values():
+            assert np.array_equal(core, base_core)
+            assert (report.changed, report.rounds) == (
+                base_report.changed,
+                base_report.rounds,
+            )
+
+    def test_work_and_atomics_independent_of_width(self, frontier_runs):
+        _, _, runs = frontier_runs
+
+        def totals(pool):
+            return (
+                sum(r.work_total for r in pool.regions),
+                sum(r.atomic_ops for r in pool.regions),
+                len(pool.regions),
+            )
+
+        base = totals(runs[1][2])
+        for _, _, pool, _ in runs.values():
+            assert totals(pool) == base
+
+    def test_expand_claims_each_vertex_with_one_cas(self, frontier_runs):
+        _, _, runs = frontier_runs
+        for _, _, pool, log in runs.values():
+            expands = 0
+            for region, threads in zip(pool.regions, log.threads):
+                if not region.label.startswith("dyn_expand:"):
+                    continue
+                expands += 1
+                words = [w for _, claimed in threads for w in claimed]
+                assert all(w[0] == "visited" for w in words)
+                # one CAS per claimed vertex, no vertex claimed twice
+                assert region.atomic_ops == len(words) == len(set(words))
+            assert expands > 0
+
+    def test_frontier_regions_within_one_vertex_of_share(self, frontier_runs):
+        dyn, _, runs = frontier_runs
+        # a vertex costs at most 3 units per neighbor plus its row
+        # length: a support count reads coreness and a flag per
+        # neighbor; an expand reads coreness, loads the claim slot and
+        # may CAS it
+        vertex_cost = 3 * (int(dyn.to_graph().degrees().max()) + 1)
+        for p, (_, _, pool, log) in runs.items():
+            checked = 0
+            for region, threads in zip(pool.regions, log.threads):
+                if not region.label.startswith(("dyn_expand:", "dyn_support:")):
+                    continue
+                checked += 1
+                # a shared neighbor goes to whichever thread reaches it
+                # first, so no split can balance the winning CASes in
+                # advance: set each thread's claims aside
+                scans = [work - len(claimed) for work, claimed in threads]
+                assert max(scans) <= sum(scans) / p + vertex_cost, region
+            assert checked > 0
 
 
 # ----------------------------------------------------------------------

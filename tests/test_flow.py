@@ -442,6 +442,98 @@ class TestEffects:
             assert reason.strip(), key
 
 
+_HELPER_KERNELS = """\
+from repro.core.phcd import phcd_build_hcd
+
+
+def run_helper(pool, out, items):
+    def put(arr, i, ctx):
+        ctx.charge(1)
+        arr[i] = 1
+
+    def worker(i, ctx):
+        put(out, i, ctx)
+
+    pool.parallel_for(items, worker)
+
+
+def run_opaque(pool, items, fn):
+    def worker(i, ctx):
+        ctx.charge(1)
+        fn(i)
+
+    pool.parallel_for(items, worker)
+
+
+def _k_phcd(pool):
+    phcd_build_hcd(None, None, pool)
+
+
+def _k_helper(pool):
+    run_helper(pool, [0], [0])
+
+
+def _k_opaque(pool):
+    fn = pool.pick()
+    run_opaque(pool, [0], fn)
+
+
+KERNELS = {
+    "phcd_only": _k_phcd,
+    "helper_write": _k_helper,
+    "opaque": _k_opaque,
+}
+"""
+
+
+class TestHelperEffects:
+    """Effects inside helpers a worker calls belong to the kernel."""
+
+    @pytest.fixture(scope="class")
+    def analyzer(self, tmp_path_factory):
+        from repro.sanitizer.flow import default_index
+
+        path = tmp_path_factory.mktemp("flow") / "helper_kernels.py"
+        path.write_text(_HELPER_KERNELS, encoding="utf-8")
+        index = default_index()
+        index.add_file(path, "helper_kernels")
+        return FlowAnalyzer(index)
+
+    def _infer(self, analyzer, name):
+        return analyzer.infer_kernel_effects(
+            [name], kernels_module="helper_kernels"
+        )[name]
+
+    def test_phcd_scan_reads_reach_the_kernel(self, analyzer):
+        # scan is handed to build_hierarchy as its relation and called
+        # from the step workers; its CSR reads are the PHCD kernel's
+        sig = self._infer(analyzer, "phcd_only")
+        assert {"indices", "indptr", "coreness"} <= set(sig.reads)
+
+    def test_helper_write_attributed_through_parameter(self, analyzer):
+        sig = self._infer(analyzer, "helper_write")
+        assert sig.writes == ("out",)
+        assert "arr" not in sig.writes
+
+    def test_write_only_in_helper_is_san404(self, analyzer):
+        declared = {"helper_write": EffectSignature()}
+        findings, _ = analyzer.check_kernel_effects(
+            declared, ["helper_write"], kernels_module="helper_kernels"
+        )
+        assert [(f.code, f.key) for f in findings] == [
+            ("SAN404", "SAN404:helper_write:writes:out")
+        ]
+        declared = {"helper_write": EffectSignature(writes=("out",))}
+        findings, _ = analyzer.check_kernel_effects(
+            declared, ["helper_write"], kernels_module="helper_kernels"
+        )
+        assert findings == []
+
+    def test_untraceable_callee_fails_closed(self, analyzer):
+        sig = self._infer(analyzer, "opaque")
+        assert "fn()" in sig.reads and "fn()" in sig.writes
+
+
 # ======================================================================
 # seeded-bug selftest
 # ======================================================================
